@@ -17,8 +17,9 @@ Everything but ``wall_ms`` is a pure function of the formula, so two census
 runs over the same corpus are byte-identical modulo the wall-time column —
 that determinism is what makes the committed baseline a regression gate.
 
-The worker function reuses the engine's cache bank (worker-local), so
-repeated subformula families warm each other up, and ships span payloads
+The worker function classifies a general-route formula on the quotient it
+already built for the size columns (one GPVW → Safra run per formula),
+reuses the engine's cache bank (worker-local) otherwise, and ships span payloads
 plus a metrics snapshot delta back to the supervisor exactly like the
 evaluation engine's process executor does.
 """
@@ -214,11 +215,18 @@ def _apply_poison(text: str) -> None:
 def _measure(text: str) -> dict:
     """The pure measurement: one formula → one dict of row fields.
 
-    Uses the worker-process-local engine cache bank throughout, so family
-    corpora (which share subformulas and alphabets) get warm-cache behavior
-    within each worker.
+    The size columns come from the census's own GPVW → Safra → quotient
+    chain.  A general-route formula compiles to exactly that quotient, so
+    its report is built from it; any other formula is classified through
+    the worker-process-local engine cache bank on its own route.
     """
-    from repro.core.classifier import default_alphabet
+    from repro.core.classes import TemporalClass
+    from repro.core.classifier import (
+        ROUTE_SAFRA,
+        default_alphabet,
+        formula_report,
+        formula_route,
+    )
     from repro.engine.cache import cached_classify_formula, cached_formula_to_nba
     from repro.logic.parser import parse_formula
     from repro.omega.reduce import quotient_reduce
@@ -227,13 +235,14 @@ def _measure(text: str) -> dict:
     _apply_poison(text)
     formula = parse_formula(text)
     alphabet = default_alphabet(formula)
-    report = cached_classify_formula(formula, alphabet)
     nba = cached_formula_to_nba(formula, alphabet)
     dra = determinize(nba)
     quotient = quotient_reduce(dra)
+    if formula_route(formula).id == ROUTE_SAFRA:
+        report = formula_report(formula, alphabet, quotient)
+    else:
+        report = cached_classify_formula(formula, alphabet)
     membership = report.semantic.membership
-    from repro.core.classes import TemporalClass
-
     return {
         "class_": report.canonical_class.value,
         "safety": membership[TemporalClass.SAFETY],

@@ -1,7 +1,8 @@
 """The unified classifier: formula → automaton → exact hierarchy class.
 
-``formula_to_automaton`` compiles any supported LTL+Past formula to a
-deterministic ω-automaton, preferring the paper's own constructions:
+``formula_route`` is the one place that decides how a formula compiles to
+a deterministic ω-automaton; ``formula_to_automaton`` runs the route it
+picks.  The paper's own constructions come first:
 
 * κ-normal-form formulae go through the deterministic past tester and the
   linguistic operators (``Sat(□p) = A(esat(p))`` etc., Prop 5.3) — no
@@ -11,13 +12,15 @@ deterministic ω-automaton, preferring the paper's own constructions:
 * everything else takes the general pipeline: GPVW tableau → NBA → Safra →
   deterministic Rabin.
 
-``classify_formula`` then runs the §5.1 decision procedures and returns the
-combined semantic + syntactic report.
+``formula_report`` runs the §5.1 decision procedures on that automaton and
+returns the combined semantic + syntactic report; ``classify_formula``, the
+engine cache and the census all build their reports through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.classes import TemporalClass, Verdict
 from repro.errors import ClassificationError
@@ -161,35 +164,88 @@ def _simple_obligation_pair(conjunct: Formula, alphabet: Alphabet) -> DetAutomat
     )
 
 
-def formula_to_automaton(formula: Formula, alphabet: Alphabet | None = None) -> DetAutomaton:
-    """Compile a formula to a deterministic ω-automaton over ``alphabet``."""
-    alphabet = alphabet or default_alphabet(formula)
+#: Stable route identifiers (also used as span attributes by the CLI).
+ROUTE_LINGUISTIC = "linguistic-tester"
+ROUTE_STREETT_PRODUCT = "streett-pair-product"
+ROUTE_COBUCHI_PRODUCT = "cobuchi-product"
+ROUTE_SAFRA = "gpvw-safra"
 
-    # Fast paths: the paper's normal forms via Prop 5.3 testers.
-    if is_safety_formula(formula):
-        return a_of(esat_language(formula.operand, alphabet))
-    if is_guarantee_formula(formula):
-        return e_of(esat_language(formula.operand, alphabet))
-    if is_recurrence_formula(formula):
-        return r_of(esat_language(formula.operand.operand, alphabet))
-    if is_persistence_formula(formula):
-        return p_of(esat_language(formula.operand.operand, alphabet))
 
-    conjuncts = formula.operands if isinstance(formula, And) else (formula,)
-    if all(is_simple_reactivity_formula(c) for c in conjuncts):
-        result = _simple_reactivity_pair(conjuncts[0], alphabet)
-        for conjunct in conjuncts[1:]:
-            result = result.intersection(_simple_reactivity_pair(conjunct, alphabet))
-        return result
-    if all(is_simple_obligation_formula(c) for c in conjuncts):
-        result = _simple_obligation_pair(conjuncts[0], alphabet)
-        for conjunct in conjuncts[1:]:
-            result = result.intersection(_simple_obligation_pair(conjunct, alphabet))
-        return result
+@dataclass(frozen=True, slots=True)
+class Route:
+    """The construction ``formula_to_automaton`` picks for one formula:
+    a stable id, a human-readable detail line and the builder itself
+    (``build(alphabet)`` → the deterministic automaton)."""
 
+    id: str
+    detail: str
+    build: Callable[[Alphabet], DetAutomaton]
+
+
+def _tester(shape: str, operator, body: Formula) -> Route:
+    return Route(
+        ROUTE_LINGUISTIC,
+        f"{shape} tester (Prop 5.3)",
+        lambda alphabet: operator(esat_language(body, alphabet)),
+    )
+
+
+def _product(pair, conjuncts, alphabet: Alphabet) -> DetAutomaton:
+    result = pair(conjuncts[0], alphabet)
+    for conjunct in conjuncts[1:]:
+        result = result.intersection(pair(conjunct, alphabet))
+    return result
+
+
+def _general(formula: Formula, alphabet: Alphabet) -> DetAutomaton:
     from repro.omega.safra import formula_to_dra
 
     return formula_to_dra(formula, alphabet)
+
+
+def formula_route(formula: Formula) -> Route:
+    """Evaluate the dispatch predicates once and say which construction
+    compiles ``formula``: the paper's own where a syntactic shape allows it,
+    the general GPVW → Safra pipeline otherwise."""
+    # Fast paths: the paper's normal forms via Prop 5.3 testers.
+    if is_safety_formula(formula):
+        return _tester("safety normal form □p → A(esat(p))", a_of, formula.operand)
+    if is_guarantee_formula(formula):
+        return _tester("guarantee normal form ◇p → E(esat(p))", e_of, formula.operand)
+    if is_recurrence_formula(formula):
+        return _tester(
+            "recurrence normal form □◇p → R(esat(p))", r_of, formula.operand.operand
+        )
+    if is_persistence_formula(formula):
+        return _tester(
+            "persistence normal form ◇□p → P(esat(p))", p_of, formula.operand.operand
+        )
+
+    conjuncts = formula.operands if isinstance(formula, And) else (formula,)
+    if all(is_simple_reactivity_formula(c) for c in conjuncts):
+        return Route(
+            ROUTE_STREETT_PRODUCT,
+            f"{len(conjuncts)} simple reactivity conjunct(s) → one Streett pair each"
+            " on tester products",
+            lambda alphabet: _product(_simple_reactivity_pair, conjuncts, alphabet),
+        )
+    if all(is_simple_obligation_formula(c) for c in conjuncts):
+        return Route(
+            ROUTE_COBUCHI_PRODUCT,
+            f"{len(conjuncts)} simple obligation conjunct(s) → sticky-bit co-Büchi"
+            " products",
+            lambda alphabet: _product(_simple_obligation_pair, conjuncts, alphabet),
+        )
+    return Route(
+        ROUTE_SAFRA,
+        "general pipeline: GPVW tableau → NBA → Safra → deterministic Rabin",
+        lambda alphabet: _general(formula, alphabet),
+    )
+
+
+def formula_to_automaton(formula: Formula, alphabet: Alphabet | None = None) -> DetAutomaton:
+    """Compile a formula to a deterministic ω-automaton over ``alphabet``."""
+    return formula_route(formula).build(alphabet or default_alphabet(formula))
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,6 +287,28 @@ class FormulaReport:
         return "\n".join(lines)
 
 
+def formula_report(
+    formula: Formula, alphabet: Alphabet, automaton: DetAutomaton
+) -> FormulaReport:
+    """Classify ``formula`` on ``automaton``, a deterministic automaton for it
+    over ``alphabet``: the §5.1 verdict, Wagner's measures and the syntax."""
+    verdict = classify_automaton(automaton)
+    try:
+        uniform = is_uniform_liveness(automaton) if verdict.is_liveness else False
+    except ClassificationError:
+        uniform = None
+    return FormulaReport(
+        formula=formula,
+        alphabet=alphabet,
+        automaton=automaton,
+        semantic=verdict,
+        syntactic=analyze_syntax(formula),
+        streett_index=streett_index(automaton),
+        obligation_degree=obligation_degree(automaton),
+        is_uniform_liveness=uniform,
+    )
+
+
 def classify_formula(formula: Formula, alphabet: Alphabet | None = None) -> FormulaReport:
     """Compile and fully classify a formula (the library's headline call).
 
@@ -246,29 +324,15 @@ def classify_formula(formula: Formula, alphabet: Alphabet | None = None) -> Form
     with span("classifier.classify_formula") as obs_span:
         start = time.perf_counter()
         alphabet = alphabet or default_alphabet(formula)
-        automaton = formula_to_automaton(formula, alphabet)
-        verdict = classify_automaton(automaton)
-        try:
-            uniform = is_uniform_liveness(automaton) if verdict.is_liveness else False
-        except ClassificationError:
-            uniform = None
+        report = formula_report(formula, alphabet, formula_to_automaton(formula, alphabet))
         elapsed = time.perf_counter() - start
         METRICS.timer("classifier.classify_formula").observe(elapsed)
-        obs_span.set_attribute("states", automaton.num_states)
-        obs_span.set_attribute("canonical", verdict.canonical.value)
+        obs_span.set_attribute("states", report.automaton.num_states)
+        obs_span.set_attribute("canonical", report.canonical_class.value)
         trace(
             "classifier.classify_formula",
-            states=automaton.num_states,
-            canonical=verdict.canonical.value,
+            states=report.automaton.num_states,
+            canonical=report.canonical_class.value,
             seconds=elapsed,
         )
-    return FormulaReport(
-        formula=formula,
-        alphabet=alphabet,
-        automaton=automaton,
-        semantic=verdict,
-        syntactic=analyze_syntax(formula),
-        streett_index=streett_index(automaton),
-        obligation_degree=obligation_degree(automaton),
-        is_uniform_liveness=uniform,
-    )
+    return report

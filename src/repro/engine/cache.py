@@ -29,7 +29,6 @@ from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 from typing import Any
 
-from repro.engine.metrics import METRICS
 from repro.obs.spans import annotate
 
 
@@ -306,41 +305,20 @@ def cached_formula_to_automaton(formula, alphabet=None, *, bank: CacheBank | Non
 def cached_classify_formula(formula, alphabet=None, *, bank: CacheBank | None = None):
     """Memoized full classification, sharing the automaton cache.
 
-    The report is rebuilt from the *cached* automaton, so a classification
+    The report is built from the *cached* automaton, so a classification
     request warms the automaton cache for later monitor/model-check jobs on
     the same formula (and vice versa).
     """
-    from repro.core.classes import TemporalClass  # noqa: F401  (report deps)
-    from repro.core.classifier import FormulaReport, default_alphabet
-    from repro.errors import ClassificationError
-    from repro.logic.classes import analyze_syntax
-    from repro.omega.classify import classify as classify_automaton
-    from repro.omega.classify import obligation_degree, streett_index
-    from repro.omega.closure import is_uniform_liveness
+    from repro.core.classifier import default_alphabet, formula_report
 
     alphabet = alphabet or default_alphabet(formula)
     bank = bank or CACHES
-    cache = bank.cache("classification")
-
-    def compute() -> FormulaReport:
-        automaton = cached_formula_to_automaton(formula, alphabet, bank=bank)
-        verdict = classify_automaton(automaton)
-        try:
-            uniform = is_uniform_liveness(automaton) if verdict.is_liveness else False
-        except ClassificationError:
-            uniform = None
-        return FormulaReport(
-            formula=formula,
-            alphabet=alphabet,
-            automaton=automaton,
-            semantic=verdict,
-            syntactic=analyze_syntax(formula),
-            streett_index=streett_index(automaton),
-            obligation_degree=obligation_degree(automaton),
-            is_uniform_liveness=uniform,
-        )
-
-    return cache.get_or_compute(formula_key(formula, alphabet), compute)
+    return bank.cache("classification").get_or_compute(
+        formula_key(formula, alphabet),
+        lambda: formula_report(
+            formula, alphabet, cached_formula_to_automaton(formula, alphabet, bank=bank)
+        ),
+    )
 
 
 def cached_minimized(dfa, *, bank: CacheBank | None = None):
@@ -369,12 +347,3 @@ def cached_omega_language(expression: str, alphabet, *, bank: CacheBank | None =
         (expression, alphabet_key(alphabet)),
         lambda: quotient_reduce(omega_language(expression, alphabet)),
     )
-
-
-def record_cache_metrics(bank: CacheBank | None = None) -> None:
-    """Mirror the bank's stats into the global metrics registry."""
-    for name, stats in (bank or CACHES).stats().items():
-        counter = METRICS.counter(f"cache.{name}.hits")
-        counter.inc(stats.hits - counter.value)
-        counter = METRICS.counter(f"cache.{name}.misses")
-        counter.inc(stats.misses - counter.value)

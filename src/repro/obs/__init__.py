@@ -29,7 +29,6 @@ _PROVENANCE_NAMES = {
     "ClassReason",
     "Explanation",
     "class_reasons",
-    "compile_route",
     "explain_expression",
     "explain_formula",
 }

@@ -6,7 +6,8 @@ A classification verdict compresses a lot of structure into one word
 * **the compile route** — which of the four views produced the deciding
   automaton: the Prop 5.3 linguistic testers for κ-normal-form input, the
   single-pair Streett / co-Büchi products for simple reactivity and
-  obligation conjunctions, or the general GPVW → Safra pipeline;
+  obligation conjunctions, or the general GPVW → Safra pipeline, as
+  :func:`repro.core.classifier.formula_route` decides it;
 * **the deciding view** — whether the verdict is certified syntactically
   (the formula literally *is* a §4 normal form of its canonical class) or
   semantically (the §5.1 decision procedures on the automaton view);
@@ -15,7 +16,8 @@ A classification verdict compresses a lot of structure into one word
   index and the obligation degree;
 * **a per-class reason** — for each of the six classes, the §5.1 condition
   that witnessed membership or its failure (closure equivalence for
-  safety, Wagner's cycle conditions for recurrence/persistence, …).
+  safety, Wagner's cycle conditions for recurrence/persistence, …), read
+  off the verdict the classifier already computed.
 
 ``classify --explain`` renders this as the "why" report; the explanation
 object itself is plain data for programmatic use.
@@ -27,53 +29,10 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.classes import TemporalClass
-from repro.logic.ast import And, Formula
 
-#: Stable route identifiers (also used as span attributes by the CLI).
-ROUTE_LINGUISTIC = "linguistic-tester"
-ROUTE_STREETT_PRODUCT = "streett-pair-product"
-ROUTE_COBUCHI_PRODUCT = "cobuchi-product"
-ROUTE_SAFRA = "gpvw-safra"
+#: The route id of an ω-regular expression (formula routes live with the
+#: dispatch in :mod:`repro.core.classifier`).
 ROUTE_OMEGA_REGEX = "omega-regex"
-
-
-def compile_route(formula: Formula) -> tuple[str, str]:
-    """Replay ``formula_to_automaton``'s dispatch: ``(route id, detail)``.
-
-    The dispatch predicates are pure syntax checks, so re-deriving the
-    route here is exact — no runtime recording needed.
-    """
-    from repro.logic.classes import (
-        is_guarantee_formula,
-        is_persistence_formula,
-        is_recurrence_formula,
-        is_safety_formula,
-        is_simple_obligation_formula,
-        is_simple_reactivity_formula,
-    )
-
-    if is_safety_formula(formula):
-        return ROUTE_LINGUISTIC, "safety normal form □p → A(esat(p)) tester (Prop 5.3)"
-    if is_guarantee_formula(formula):
-        return ROUTE_LINGUISTIC, "guarantee normal form ◇p → E(esat(p)) tester (Prop 5.3)"
-    if is_recurrence_formula(formula):
-        return ROUTE_LINGUISTIC, "recurrence normal form □◇p → R(esat(p)) tester (Prop 5.3)"
-    if is_persistence_formula(formula):
-        return ROUTE_LINGUISTIC, "persistence normal form ◇□p → P(esat(p)) tester (Prop 5.3)"
-    conjuncts = formula.operands if isinstance(formula, And) else (formula,)
-    if all(is_simple_reactivity_formula(c) for c in conjuncts):
-        return (
-            ROUTE_STREETT_PRODUCT,
-            f"{len(conjuncts)} simple reactivity conjunct(s) → one Streett pair each"
-            " on tester products",
-        )
-    if all(is_simple_obligation_formula(c) for c in conjuncts):
-        return (
-            ROUTE_COBUCHI_PRODUCT,
-            f"{len(conjuncts)} simple obligation conjunct(s) → sticky-bit co-Büchi"
-            " products",
-        )
-    return ROUTE_SAFRA, "general pipeline: GPVW tableau → NBA → Safra → deterministic Rabin"
 
 
 # ---------------------------------------------------------------------------
@@ -90,21 +49,13 @@ class ClassReason:
     reason: str
 
 
-def class_reasons(automaton) -> list[ClassReason]:
-    """Run the §5.1 decision procedures and say what each one saw."""
-    from repro.omega.classify import (
-        is_guarantee,
-        is_persistence,
-        is_recurrence,
-        is_safety,
-        streett_index,
-    )
-
-    safety = is_safety(automaton)
-    guarantee = is_guarantee(automaton)
-    recurrence = is_recurrence(automaton)
-    persistence = is_persistence(automaton)
-    index = streett_index(automaton)
+def class_reasons(membership, index: int) -> list[ClassReason]:
+    """Say which §5.1 condition decided each class, given the verdict's
+    ``membership`` map and the automaton's Streett ``index``."""
+    safety = membership[TemporalClass.SAFETY]
+    guarantee = membership[TemporalClass.GUARANTEE]
+    recurrence = membership[TemporalClass.RECURRENCE]
+    persistence = membership[TemporalClass.PERSISTENCE]
     reasons = [
         ClassReason(
             TemporalClass.SAFETY,
@@ -255,13 +206,14 @@ def _set_text(states: list[int], *, limit: int = 12) -> str:
 
 def explain_formula(formula, alphabet=None, *, bank=None) -> Explanation:
     """Explain one formula's verdict (memoized through the engine cache)."""
+    from repro.core.classifier import formula_route
     from repro.engine.cache import cached_classify_formula
     from repro.logic import parse_formula
 
     if isinstance(formula, str):
         formula = parse_formula(formula)
     report = cached_classify_formula(formula, alphabet, bank=bank)
-    route, detail = compile_route(formula)
+    route = formula_route(formula)
     canonical = report.canonical_class
     syntactic = report.syntactic
     if syntactic.normal_form is not None and syntactic.normal_form is canonical:
@@ -278,9 +230,9 @@ def explain_formula(formula, alphabet=None, *, bank=None) -> Explanation:
         subject=repr(report.formula),
         canonical=canonical,
         deciding_view=deciding,
-        route=route,
-        route_detail=detail,
-        reasons=tuple(class_reasons(report.automaton)),
+        route=route.id,
+        route_detail=route.detail,
+        reasons=tuple(class_reasons(report.semantic.membership, report.streett_index)),
         evidence=automaton_evidence(report.automaton),
         normal_form=syntactic.normal_form,
         fragment_class=syntactic.fragment_class,
@@ -295,13 +247,13 @@ def explain_expression(expression: str, letters: str = "ab", *, bank=None) -> Ex
     from repro.engine.cache import cached_omega_language
     from repro.omega.classify import classify as classify_automaton
     from repro.omega.classify import obligation_degree, streett_index
-    from repro.omega.closure import is_liveness as liveness_of
     from repro.words import Alphabet
 
     automaton = cached_omega_language(
         expression, Alphabet.from_letters(letters), bank=bank
     )
     verdict = classify_automaton(automaton)
+    index = streett_index(automaton)
     return Explanation(
         subject=f"omega {letters}: {expression}",
         canonical=verdict.canonical,
@@ -309,9 +261,9 @@ def explain_expression(expression: str, letters: str = "ab", *, bank=None) -> Ex
         " (an expression has no formula-normal-form certificate)",
         route=ROUTE_OMEGA_REGEX,
         route_detail="ω-regular expression → Büchi construction → determinization",
-        reasons=tuple(class_reasons(automaton)),
+        reasons=tuple(class_reasons(verdict.membership, index)),
         evidence=automaton_evidence(automaton),
-        streett_index=streett_index(automaton),
+        streett_index=index,
         obligation_degree=obligation_degree(automaton),
-        is_liveness=liveness_of(automaton),
+        is_liveness=verdict.is_liveness,
     )

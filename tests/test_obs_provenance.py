@@ -5,19 +5,29 @@ from __future__ import annotations
 import pytest
 
 from repro.core.classes import TemporalClass
-from repro.engine.cache import CacheBank
-from repro.logic import parse_formula
-from repro.obs.provenance import (
+from repro.core.classifier import (
     ROUTE_COBUCHI_PRODUCT,
     ROUTE_LINGUISTIC,
-    ROUTE_OMEGA_REGEX,
     ROUTE_SAFRA,
     ROUTE_STREETT_PRODUCT,
+)
+from repro.engine.cache import CacheBank, cached_classify_formula, cached_omega_language
+from repro.logic import parse_formula
+from repro.obs.provenance import (
+    ROUTE_OMEGA_REGEX,
     class_reasons,
-    compile_route,
     explain_expression,
     explain_formula,
 )
+from repro.omega.classify import (
+    is_guarantee,
+    is_obligation,
+    is_persistence,
+    is_recurrence,
+    is_safety,
+    streett_index,
+)
+from repro.words import Alphabet
 
 #: One formula per class, with the route its compilation must take.
 SIX_CLASSES = [
@@ -30,21 +40,36 @@ SIX_CLASSES = [
 ]
 
 
+def assert_reasons_match_procedures(explanation, automaton):
+    """Explain reads its reasons off the verdict; they must agree with the
+    §5.1 procedures run afresh on the automaton the verdict came from."""
+    procedures = {
+        TemporalClass.SAFETY: is_safety,
+        TemporalClass.GUARANTEE: is_guarantee,
+        TemporalClass.OBLIGATION: is_obligation,
+        TemporalClass.RECURRENCE: is_recurrence,
+        TemporalClass.PERSISTENCE: is_persistence,
+        TemporalClass.REACTIVITY: lambda _automaton: True,
+    }
+    assert [r.temporal_class for r in explanation.reasons] == list(TemporalClass)
+    for reason in explanation.reasons:
+        assert reason.member is procedures[reason.temporal_class](automaton), reason
+    index = streett_index(automaton)
+    assert explanation.streett_index == index
+    assert f"Streett index {index} " in explanation.reasons[-1].reason
+
+
 @pytest.mark.parametrize("text,expected,route", SIX_CLASSES)
 def test_explain_all_six_classes(text, expected, route):
-    explanation = explain_formula(text, bank=CacheBank())
+    bank = CacheBank()
+    explanation = explain_formula(text, bank=bank)
     assert explanation.canonical is expected
     assert explanation.route == route
     assert "view" in explanation.deciding_view
     member = {r.temporal_class: r.member for r in explanation.reasons}
     assert member[expected] is True
-
-
-def test_compile_route_replays_classifier_dispatch():
-    assert compile_route(parse_formula("G p"))[0] == ROUTE_LINGUISTIC
-    assert compile_route(parse_formula("(G F p) | (F G q)"))[0] == ROUTE_STREETT_PRODUCT
-    assert compile_route(parse_formula("(G p) | (F q)"))[0] == ROUTE_COBUCHI_PRODUCT
-    assert compile_route(parse_formula("p U (q U r)"))[0] == ROUTE_SAFRA
+    report = cached_classify_formula(parse_formula(text), bank=bank)
+    assert_reasons_match_procedures(explanation, report.automaton)
 
 
 def test_normal_form_input_decided_by_formula_view():
@@ -59,10 +84,10 @@ def test_non_normal_form_input_decided_by_automaton_view():
 
 
 def test_class_reasons_cover_all_six_classes():
-    from repro.core.classifier import formula_to_automaton
+    from repro.core.classifier import classify_formula
 
-    automaton = formula_to_automaton(parse_formula("G F p"))
-    reasons = class_reasons(automaton)
+    report = classify_formula(parse_formula("G F p"))
+    reasons = class_reasons(report.semantic.membership, report.streett_index)
     assert [r.temporal_class for r in reasons] == list(TemporalClass)
     by_class = {r.temporal_class: r for r in reasons}
     assert by_class[TemporalClass.RECURRENCE].member
@@ -91,11 +116,14 @@ def test_render_names_deciding_view_and_membership():
 
 
 def test_explain_expression_uses_omega_route():
-    explanation = explain_expression("(b*a)w", "ab", bank=CacheBank())
+    bank = CacheBank()
+    explanation = explain_expression("(b*a)w", "ab", bank=bank)
     assert explanation.route == ROUTE_OMEGA_REGEX
     assert explanation.canonical is TemporalClass.RECURRENCE
     assert explanation.deciding_view.startswith("automaton view")
     assert "omega ab: (b*a)w" == explanation.subject
+    automaton = cached_omega_language("(b*a)w", Alphabet.from_letters("ab"), bank=bank)
+    assert_reasons_match_procedures(explanation, automaton)
 
 
 def test_explain_accepts_parsed_formula_objects():
