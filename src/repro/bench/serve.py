@@ -286,7 +286,7 @@ def run_telemetry_overhead(
     best = {"off_a": float("inf"), "off_b": float("inf"),
             "on": float("inf"), "traced": float("inf")}
 
-    def timed_pass(client: ServeClient) -> float:
+    def measure_pass(client: ServeClient) -> float:
         gc.collect()
         start = time.perf_counter()
         ids = [client.send(verb, **params) for verb, params in requests]
@@ -321,15 +321,15 @@ def run_telemetry_overhead(
             gc.freeze()
             for _ in range(repeat):
                 TRACER.disable()
-                best["off_a"] = min(best["off_a"], timed_pass(off_client))
+                best["off_a"] = min(best["off_a"], measure_pass(off_client))
                 TRACER.enable()
                 TRACER.clear()
-                best["on"] = min(best["on"], timed_pass(on_client))
+                best["on"] = min(best["on"], measure_pass(on_client))
                 TRACER.disable()
-                best["off_b"] = min(best["off_b"], timed_pass(off_client))
+                best["off_b"] = min(best["off_b"], measure_pass(off_client))
                 TRACER.enable()
                 TRACER.clear()
-                best["traced"] = min(best["traced"], timed_pass(traced_client))
+                best["traced"] = min(best["traced"], measure_pass(traced_client))
                 TRACER.clear()
     finally:
         gc.unfreeze()

@@ -40,8 +40,8 @@ from repro.census.pool import (
     CrashIsolatedPool,
     TaskOutcome,
 )
-from repro.engine.metrics import METRICS, snapshot_delta, trace
-from repro.obs.spans import TRACER, span
+from repro.engine.metrics import METRICS, snapshot_delta
+from repro.obs.spans import TRACER, stage
 
 #: Environment hook for the crash-isolation acceptance tests: set to
 #: ``crash:<formula>``, ``hang:<formula>`` or ``raise:<formula>`` and the
@@ -333,8 +333,7 @@ def run_census(
     """
     from repro.obs.telemetry.heartbeat import heartbeat
 
-    start = time.perf_counter()
-    with span("census.run", formulas=len(entries), serial=serial) as run_span, heartbeat(
+    with stage("census.run", formulas=len(entries), serial=serial) as run, heartbeat(
         "census", total=len(entries)
     ) as beat:
         parent = TRACER.capture() if TRACER.enabled else None
@@ -376,17 +375,11 @@ def run_census(
             METRICS.counter(f"census.rows.{row.status}").inc()
             if on_row is not None:
                 on_row(row)
-        run_span.set_attribute("ok", all(row.ok for row in rows))
-    wall = time.perf_counter() - start
-    METRICS.timer("census.run").observe(wall)
-    trace(
-        "census.run",
-        formulas=len(entries),
-        ok=sum(1 for row in rows if row.ok),
-        seconds=wall,
-    )
+        rows_ok = sum(1 for row in rows if row.ok)
+        run.set_attribute("ok", rows_ok == len(rows))
+        run.set_attribute("rows_ok", rows_ok)
     return CensusReport(
-        rows=rows, wall_seconds=wall, jobs=0 if serial else jobs_used, timeout=timeout
+        rows=rows, wall_seconds=run.seconds, jobs=0 if serial else jobs_used, timeout=timeout
     )
 
 

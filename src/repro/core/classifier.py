@@ -316,23 +316,11 @@ def classify_formula(formula: Formula, alphabet: Alphabet | None = None) -> Form
     :func:`repro.engine.cache.cached_classify_formula` or the batch
     :class:`repro.engine.batch.EvaluationEngine`, which memoize this work.
     """
-    import time
+    from repro.obs.spans import stage
 
-    from repro.engine.metrics import METRICS, trace
-    from repro.obs.spans import span
-
-    with span("classifier.classify_formula") as obs_span:
-        start = time.perf_counter()
+    with stage("classifier.classify_formula") as step:
         alphabet = alphabet or default_alphabet(formula)
         report = formula_report(formula, alphabet, formula_to_automaton(formula, alphabet))
-        elapsed = time.perf_counter() - start
-        METRICS.timer("classifier.classify_formula").observe(elapsed)
-        obs_span.set_attribute("states", report.automaton.num_states)
-        obs_span.set_attribute("canonical", report.canonical_class.value)
-        trace(
-            "classifier.classify_formula",
-            states=report.automaton.num_states,
-            canonical=report.canonical_class.value,
-            seconds=elapsed,
-        )
+        step.set_attribute("states", report.automaton.num_states)
+        step.set_attribute("canonical", report.canonical_class.value)
     return report

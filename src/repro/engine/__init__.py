@@ -3,9 +3,9 @@
 The seed library recomputes every automaton from scratch on each call.
 This package adds the serving layer on top of the algorithms:
 
-* :mod:`repro.engine.metrics` — counters/timers/histograms plus the
-  ``trace`` hook that instruments the GPVW, Safra, emptiness and
-  classifier hot paths;
+* :mod:`repro.engine.metrics` — the counters/timers/histograms the GPVW,
+  Safra, emptiness and classifier hot paths report into (their stage
+  timers are fed by :func:`repro.obs.spans.stage`);
 * :mod:`repro.engine.cache` — size-bounded LRU caches (with statistics
   and explicit invalidation) over the expensive constructions;
 * :mod:`repro.engine.batch` — the :class:`EvaluationEngine`: batches of
@@ -23,7 +23,7 @@ graph acyclic.
 from __future__ import annotations
 
 from repro.engine.cache import CACHES, CacheBank, CacheStats, Interner, LRUCache
-from repro.engine.metrics import METRICS, MetricsRegistry, TraceEvent, timed, trace
+from repro.engine.metrics import METRICS, MetricsRegistry
 
 _LAZY = {
     "EvaluationEngine": ("repro.engine.batch", "EvaluationEngine"),
@@ -46,9 +46,6 @@ __all__ = [
     "LRUCache",
     "METRICS",
     "MetricsRegistry",
-    "TraceEvent",
-    "timed",
-    "trace",
     *_LAZY.keys(),
 ]
 

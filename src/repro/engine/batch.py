@@ -29,9 +29,9 @@ from functools import partial
 from typing import Any, Hashable, Sequence
 
 from repro.engine.cache import CACHES, CacheBank, CacheStats, cached_classify_formula, cached_omega_language
-from repro.engine.metrics import METRICS, MetricsRegistry, snapshot_delta, trace
+from repro.engine.metrics import METRICS, MetricsRegistry, snapshot_delta
 from repro.logic.ast import Formula
-from repro.obs.spans import TRACER, SpanContext
+from repro.obs.spans import TRACER, SpanContext, stage
 
 EXECUTORS = ("serial", "thread", "process")
 
@@ -355,13 +355,27 @@ class EvaluationEngine:
 
     def run(self, jobs: Sequence[Job]) -> BatchReport:
         """Evaluate a batch; one result per job, in input order."""
-        with TRACER.span("engine.batch", executor=self.executor, jobs=len(jobs)) as batch_span:
-            return self._run(jobs, batch_span)
-
-    def _run(self, jobs: Sequence[Job], batch_span) -> BatchReport:
-        start = time.perf_counter()
         jobs = list(jobs)
+        with stage(
+            "engine.batch", metrics=self.metrics, executor=self.executor, jobs=len(jobs)
+        ) as batch:
+            executor_used, results, unique = self._run(jobs)
+            batch.set_attribute("unique", unique)
+            batch.set_attribute("executor_used", executor_used)
+        self.metrics.counter("engine.jobs").inc(len(jobs))
+        self.metrics.counter("engine.jobs_deduplicated").inc(len(jobs) - unique)
+        return BatchReport(
+            results=results,
+            executor=executor_used,
+            requested_executor=self.executor,
+            wall_seconds=batch.seconds,
+            unique_jobs=unique,
+            cache_stats=self.bank.stats(),
+        )
 
+    def _run(self, jobs: list[Job]) -> tuple[str, list[JobResult], int]:
+        """Deduplicate, evaluate the unique jobs, and fan results back out;
+        returns ``(executor used, one result per job, unique job count)``."""
         # Deduplicate structurally equal work.  Unkeyable jobs (e.g. a parse
         # error inside key()) stay unique and surface their error on evaluate.
         unique_order: list[Job] = []
@@ -399,28 +413,7 @@ class EvaluationEngine:
                     deduped=deduped,
                 )
             )
-
-        wall = time.perf_counter() - start
-        batch_span.set_attribute("unique", len(unique_order))
-        batch_span.set_attribute("executor_used", executor_used)
-        self.metrics.timer("engine.batch").observe(wall)
-        self.metrics.counter("engine.jobs").inc(len(jobs))
-        self.metrics.counter("engine.jobs_deduplicated").inc(len(jobs) - len(unique_order))
-        trace(
-            "engine.batch",
-            jobs=len(jobs),
-            unique=len(unique_order),
-            executor=executor_used,
-            seconds=wall,
-        )
-        return BatchReport(
-            results=results,
-            executor=executor_used,
-            requested_executor=self.executor,
-            wall_seconds=wall,
-            unique_jobs=len(unique_order),
-            cache_stats=self.bank.stats(),
-        )
+        return executor_used, results, len(unique_order)
 
     # ------------------------------------------------------------ execution
 

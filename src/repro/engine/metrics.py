@@ -1,37 +1,31 @@
-"""Counters, timers, histograms and a trace hook for the hot paths.
+"""Counters, timers and histograms for the hot paths.
 
 The engine layer (``repro.engine``) turns the library into an evaluation
-service; this module is its observability substrate.  It is deliberately
-dependency-free (stdlib only, no imports from the rest of ``repro``) so the
-algorithmic hot paths — GPVW translation, Safra determinization, Streett
-emptiness, the classifier — can record what they do without creating import
-cycles.
+service; this module is its aggregate observability substrate.  It is
+deliberately dependency-free (stdlib only, no imports from the rest of
+``repro``) so the algorithmic hot paths — GPVW translation, Safra
+determinization, Streett emptiness, the classifier — can record what they
+do without creating import cycles.
 
 Three primitives, all registered by name in a :class:`MetricsRegistry`:
 
 * :class:`Counter` — a monotone event count;
-* :class:`Timer` — accumulated wall-clock with count/total/min/max, used as
-  a context manager (``with METRICS.timer("safra.determinize").time(): …``);
+* :class:`Timer` — accumulated wall-clock with count/total/min/max;
 * :class:`Histogram` — bucketed value counts (e.g. automaton sizes).
 
-plus :func:`trace`, a structured-event hook: every instrumented call emits
-``trace("safra.determinize", nba_states=…, dra_states=…)``.  Events land in
-a bounded ring buffer and are fanned out to registered hooks, so tests and
-the CLI can observe the pipeline end-to-end without monkeypatching.
+A pipeline stage's timer is fed by :func:`repro.obs.spans.stage`, which
+reads the clock once per stage and hands the same interval to the timer
+and, while tracing is on, to the stage's span.
 
 Everything is thread-safe; the synchronized sections are tiny so the
-overhead on the hot paths is a few microseconds per event.
+overhead on the hot paths is a few microseconds per observation.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-import time
-from collections import deque
-from collections.abc import Callable, Iterable, Sequence
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 
 
 class Counter:
@@ -99,14 +93,6 @@ class Timer:
             self.min = min(self.min, minimum)
             self.max = max(self.max, maximum)
 
-    @contextmanager
-    def time(self):
-        start = time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.observe(time.perf_counter() - start)
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -166,49 +152,18 @@ class Histogram:
         return f"Histogram({self.name}: n={self.observations})"
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One structured event emitted by an instrumented hot path."""
-
-    event: str
-    fields: tuple[tuple[str, object], ...]
-    timestamp: float
-
-    def get(self, key: str, default: object = None) -> object:
-        for name, value in self.fields:
-            if name == key:
-                return value
-        return default
-
-
-TraceHook = Callable[[TraceEvent], None]
-
-
-@dataclass
-class _TraceBuffer:
-    capacity: int = 1024
-    events: deque = field(default_factory=deque)
-
-    def append(self, event: TraceEvent) -> None:
-        self.events.append(event)
-        while len(self.events) > self.capacity:
-            self.events.popleft()
-
-
 class MetricsRegistry:
     """A process-local registry of named counters, timers and histograms.
 
     Instruments are created on first use and live for the life of the
-    registry; :meth:`reset` zeroes values but keeps trace hooks installed.
+    registry; :meth:`reset` zeroes their values in place.
     """
 
-    def __init__(self, *, trace_capacity: int = 1024) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
         self._timers: dict[str, Timer] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._trace = _TraceBuffer(capacity=trace_capacity)
-        self._hooks: list[TraceHook] = []
 
     # ---------------------------------------------------------- instruments
 
@@ -229,47 +184,6 @@ class MetricsRegistry:
             if name not in self._histograms:
                 self._histograms[name] = Histogram(name, bounds)
             return self._histograms[name]
-
-    # --------------------------------------------------------------- traces
-
-    def trace(self, event: str, **fields: object) -> TraceEvent:
-        """Record a structured event and fan it out to the installed hooks.
-
-        Hooks are observability plumbing, not part of the instrumented
-        computation: a hook that raises must neither propagate into the hot
-        path nor starve the hooks after it.  Failures are swallowed and
-        counted in ``trace.hook_errors``.
-        """
-        record = TraceEvent(event, tuple(sorted(fields.items())), time.perf_counter())
-        self.counter(f"trace.{event}").inc()
-        with self._lock:
-            self._trace.append(record)
-            hooks = list(self._hooks)
-        failures = 0
-        for hook in hooks:
-            try:
-                hook(record)
-            except Exception:  # noqa: BLE001 — a hook must never break the hot path
-                failures += 1
-        if failures:
-            self.counter("trace.hook_errors").inc(failures)
-        return record
-
-    def add_trace_hook(self, hook: TraceHook) -> None:
-        with self._lock:
-            self._hooks.append(hook)
-
-    def remove_trace_hook(self, hook: TraceHook) -> None:
-        with self._lock:
-            if hook in self._hooks:
-                self._hooks.remove(hook)
-
-    def recent_events(self, event: str | None = None) -> list[TraceEvent]:
-        with self._lock:
-            events = list(self._trace.events)
-        if event is None:
-            return events
-        return [e for e in events if e.event == event]
 
     # ------------------------------------------------------------ reporting
 
@@ -296,7 +210,7 @@ class MetricsRegistry:
         return {"counters": counters, "timers": timers, "histograms": histograms}
 
     def reset(self) -> None:
-        """Zero every instrument *in place* and drop buffered trace events.
+        """Zero every instrument *in place*.
 
         The instrument objects survive: a hot path that looked up a
         ``Counter``/``Timer`` once and kept the reference must keep
@@ -310,7 +224,6 @@ class MetricsRegistry:
                 + list(self._timers.values())
                 + list(self._histograms.values())
             )
-            self._trace.events.clear()
         for instrument in instruments:
             instrument.reset()
 
@@ -320,9 +233,9 @@ class MetricsRegistry:
         This is how worker-process observability comes home: the engine's
         process executor snapshots the worker-local registry per job and
         merges the deltas here.  Counters and histogram buckets add;
-        timers combine count/total and extremes.  Histogram bucket labels
-        that do not line up with the local instrument's bounds are counted
-        in ``merge.histogram_mismatch`` rather than guessed at.
+        timers combine count/total and extremes.  A histogram whose bucket
+        labels do not line up with the local instrument's bounds is counted
+        in ``merge.histogram_mismatch`` and left out whole, not guessed at.
         """
         for name, value in snapshot.get("counters", {}).items():
             if value:
@@ -341,30 +254,26 @@ class MetricsRegistry:
                     try:
                         bounds.append(float(label[3:]))
                     except ValueError:
-                        bounds.append(None)
-            histogram = self.histogram(
-                name, [b for b in bounds if b is not None] or None
-            )
-            labels = {f"le_{bound:g}": index for index, bound in enumerate(histogram.bounds)}
-            with histogram._lock:
-                for label, count in data.items():
-                    if not count:
-                        continue
-                    if label == "sum":
-                        histogram.total += count
-                    elif label == "overflow":
-                        histogram.overflow += count
-                        histogram.observations += count
-                    elif label in labels:
-                        histogram.counts[labels[label]] += count
-                        histogram.observations += count
-                    else:
-                        mismatch = True
-                        break
-                else:
-                    mismatch = False
-            if mismatch:
+                        pass
+            histogram = self.histogram(name, bounds or None)
+            index_of = {f"le_{bound:g}": index for index, bound in enumerate(histogram.bounds)}
+            buckets = {
+                label: count
+                for label, count in data.items()
+                if count and label not in ("sum", "overflow")
+            }
+            # All or nothing: folding in only the labels that line up would
+            # leave ``observations`` and ``sum`` disagreeing with the buckets.
+            if not buckets.keys() <= index_of.keys():
                 self.counter("merge.histogram_mismatch").inc()
+                continue
+            overflow = data.get("overflow", 0)
+            with histogram._lock:
+                for label, count in buckets.items():
+                    histogram.counts[index_of[label]] += count
+                histogram.overflow += overflow
+                histogram.observations += sum(buckets.values()) + overflow
+                histogram.total += data.get("sum", 0.0)
 
     def report(self) -> str:
         """A human-readable multi-line summary (the CLI prints this)."""
@@ -378,11 +287,7 @@ class MetricsRegistry:
                     f"  {name:32s} n={data['count']:<6d} total={data['total']*1e3:9.2f}ms"
                     f" mean={data['mean']*1e3:8.3f}ms"
                 )
-        counters = {
-            name: value
-            for name, value in snap["counters"].items()
-            if not name.startswith("trace.")
-        }
+        counters = snap["counters"]
         if counters:
             lines.append("counters:")
             for name in sorted(counters):
@@ -392,24 +297,6 @@ class MetricsRegistry:
 
 #: The process-wide default registry used by the instrumented hot paths.
 METRICS = MetricsRegistry()
-
-
-def trace(event: str, **fields: object) -> TraceEvent:
-    """Shorthand for ``METRICS.trace(event, **fields)``."""
-    return METRICS.trace(event, **fields)
-
-
-@contextmanager
-def timed(name: str, registry: MetricsRegistry | None = None):
-    """Time a block into ``registry`` (default: the global :data:`METRICS`)."""
-    with (registry or METRICS).timer(name).time():
-        yield
-
-
-def observe_sizes(name: str, sizes: Iterable[int], registry: MetricsRegistry | None = None) -> None:
-    histogram = (registry or METRICS).histogram(name)
-    for size in sizes:
-        histogram.observe(size)
 
 
 def snapshot_delta(before: dict, after: dict) -> dict:

@@ -31,14 +31,12 @@ batch.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.engine.metrics import METRICS
 from repro.errors import MonitorError
 from repro.fleet.fleet import FleetCounts, MonitorFleet
-from repro.obs.spans import span
+from repro.obs.spans import stage
 from repro.words.alphabet import Symbol
 
 
@@ -191,10 +189,9 @@ def run_stream(
     from repro.obs.telemetry.heartbeat import heartbeat
 
     report = StreamReport(streams=fleet.num_streams, backend=fleet.backend)
-    start = time.perf_counter()
-    with span(
+    with stage(
         "fleet.stream", streams=fleet.num_streams, backend=fleet.backend
-    ) as stream_span, heartbeat("fleet.stream") as beat:
+    ) as stream, heartbeat("fleet.stream") as beat:
         # Events, not batches: events/s is the fleet's real throughput, and
         # a telemetry sidecar polling /progress sees it live.
         beat.note("streams", fleet.num_streams)
@@ -209,9 +206,8 @@ def run_stream(
             beat.advance(consumed)
             if on_batch is not None:
                 on_batch(report.batches, fleet)
-        stream_span.set_attribute("batches", report.batches)
-        stream_span.set_attribute("events", report.events)
-    report.wall_seconds = time.perf_counter() - start
+        stream.set_attribute("batches", report.batches)
+        stream.set_attribute("events", report.events)
+    report.wall_seconds = stream.seconds
     report.counts = fleet.counts()
-    METRICS.timer("fleet.stream").observe(report.wall_seconds)
     return report

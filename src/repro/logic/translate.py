@@ -208,92 +208,69 @@ def formula_to_nba(formula: Formula, alphabet: Alphabet) -> NBA:
     The result's language is ``Sat(φ)`` restricted to the alphabet; past
     subformulas are handled by composing with the deterministic past tester.
     """
-    import time
-
-    from repro.engine.metrics import METRICS, trace
-    from repro.obs.spans import span
-
-    with span("gpvw.translate") as obs_span:
-        result = _formula_to_nba(formula, alphabet, obs_span)
-    return result
-
-
-def _formula_to_nba(formula: Formula, alphabet: Alphabet, obs_span) -> NBA:
-    import time
-
-    from repro.engine.metrics import METRICS, trace
-
-    start = time.perf_counter()
-    skeleton, past_atoms = _extract_past_atoms(simplify(formula))
-    core = _to_core_operators(nnf(skeleton))
-    tableau = _Tableau(core)
-    nodes = tableau.nodes
-    node_index = {node.name: position for position, node in enumerate(nodes)}
-
-    # Generalized acceptance: one set per Until subformula of the core.
-    untils = [n for n in core.subformulas() if isinstance(n, Until)]
-    acceptance_sets: list[frozenset[int]] = []
-    for until in untils:
-        acceptance_sets.append(
-            frozenset(
-                position
-                for position, node in enumerate(nodes)
-                if until not in node.old or until.right in node.old
-            )
-        )
-    if not acceptance_sets:
-        acceptance_sets = [frozenset(range(len(nodes)))]
-
-    # The past tester shared by all past atoms: track the conjunction of
-    # individual testers via a combined formula.
-    monitor = And(tuple(past_atoms.values())) if past_atoms else TRUE
-    tester = PastTester(monitor)
-
-    literals_of = [
-        [lit for lit in node.old if isinstance(lit, (Prop, TrueConst))
-         or (isinstance(lit, Not) and isinstance(lit.operand, Prop))]
-        for node in nodes
-    ]
-    entry_points = [
-        position for position, node in enumerate(nodes) if _INIT in node.incoming
-    ]
-    successors_of: dict[int, list[int]] = {position: [] for position in range(len(nodes))}
-    for position, node in enumerate(nodes):
-        for source in node.incoming:
-            if source != _INIT:
-                successors_of[node_index[source]].append(position)
-
-    # Concrete NBA states: (tableau node, tester memory, counter) plus a
-    # pseudo-initial state.  Enumerated lazily breadth-first; the dense twin
-    # (repro.fastpath.gpvw) produces a bit-identical enumeration stepping
-    # once per symbol-valuation class instead of once per symbol.
     from repro.fastpath.config import kernel_selected
+    from repro.obs.spans import stage
 
-    if kernel_selected("gpvw", len(nodes) * len(alphabet)):
-        from repro.fastpath.gpvw import enumerate_dense
+    with stage("gpvw.translate") as step:
+        skeleton, past_atoms = _extract_past_atoms(simplify(formula))
+        core = _to_core_operators(nnf(skeleton))
+        tableau = _Tableau(core)
+        nodes = tableau.nodes
+        node_index = {node.name: position for position, node in enumerate(nodes)}
 
-        order, transitions, accepting = enumerate_dense(
-            alphabet, entry_points, successors_of, literals_of,
-            acceptance_sets, tester, past_atoms,
-        )
-    else:
-        order, transitions, accepting = _enumerate_reference(
-            alphabet, entry_points, successors_of, literals_of,
-            acceptance_sets, tester, past_atoms,
-        )
-    initial = 0
-    elapsed = time.perf_counter() - start
-    METRICS.timer("gpvw.translate").observe(elapsed)
-    obs_span.set_attribute("tableau_nodes", len(nodes))
-    obs_span.set_attribute("nba_states", len(order))
-    trace(
-        "gpvw.translate",
-        tableau_nodes=len(nodes),
-        nba_states=len(order),
-        past_atoms=len(past_atoms),
-        seconds=elapsed,
-    )
-    return NBA(alphabet, len(order), transitions, [initial], accepting)
+        # Generalized acceptance: one set per Until subformula of the core.
+        untils = [n for n in core.subformulas() if isinstance(n, Until)]
+        acceptance_sets: list[frozenset[int]] = []
+        for until in untils:
+            acceptance_sets.append(
+                frozenset(
+                    position
+                    for position, node in enumerate(nodes)
+                    if until not in node.old or until.right in node.old
+                )
+            )
+        if not acceptance_sets:
+            acceptance_sets = [frozenset(range(len(nodes)))]
+
+        # The past tester shared by all past atoms: track the conjunction of
+        # individual testers via a combined formula.
+        monitor = And(tuple(past_atoms.values())) if past_atoms else TRUE
+        tester = PastTester(monitor)
+
+        literals_of = [
+            [lit for lit in node.old if isinstance(lit, (Prop, TrueConst))
+             or (isinstance(lit, Not) and isinstance(lit.operand, Prop))]
+            for node in nodes
+        ]
+        entry_points = [
+            position for position, node in enumerate(nodes) if _INIT in node.incoming
+        ]
+        successors_of: dict[int, list[int]] = {position: [] for position in range(len(nodes))}
+        for position, node in enumerate(nodes):
+            for source in node.incoming:
+                if source != _INIT:
+                    successors_of[node_index[source]].append(position)
+
+        # Concrete NBA states: (tableau node, tester memory, counter) plus a
+        # pseudo-initial state.  Enumerated lazily breadth-first; the dense twin
+        # (repro.fastpath.gpvw) produces a bit-identical enumeration stepping
+        # once per symbol-valuation class instead of once per symbol.
+        if kernel_selected("gpvw", len(nodes) * len(alphabet)):
+            from repro.fastpath.gpvw import enumerate_dense
+
+            order, transitions, accepting = enumerate_dense(
+                alphabet, entry_points, successors_of, literals_of,
+                acceptance_sets, tester, past_atoms,
+            )
+        else:
+            order, transitions, accepting = _enumerate_reference(
+                alphabet, entry_points, successors_of, literals_of,
+                acceptance_sets, tester, past_atoms,
+            )
+        step.set_attribute("tableau_nodes", len(nodes))
+        step.set_attribute("nba_states", len(order))
+        step.set_attribute("past_atoms", len(past_atoms))
+        return NBA(alphabet, len(order), transitions, [0], accepting)
 
 
 def _enumerate_reference(

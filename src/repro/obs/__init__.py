@@ -19,10 +19,12 @@ from repro.obs.spans import (
     Span,
     SpanContext,
     SpanTracer,
+    Stage,
     TRACER,
     annotate,
     current_span,
     span,
+    stage,
 )
 
 _PROVENANCE_NAMES = {
@@ -63,10 +65,12 @@ __all__ = [
     "Span",
     "SpanContext",
     "SpanTracer",
+    "Stage",
     "TRACER",
     "annotate",
     "current_span",
     "span",
+    "stage",
     *sorted(_EXPORT_NAMES),
     *sorted(_PROVENANCE_NAMES),
 ]

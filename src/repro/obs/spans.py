@@ -25,6 +25,11 @@ Design constraints, in order:
    (:meth:`Span.as_payload`); ``repro.obs.export`` turns those into JSONL,
    trees and profiles.
 
+A pipeline stage (GPVW, Safra, emptiness, a batch, a census run) opens
+:func:`stage` rather than a bare span: one clock pair per call feeds both
+the stage's ``METRICS`` timer and, while tracing is on, its span, so the
+two channels cannot disagree and the hot path reads the clock only twice.
+
 This module is stdlib-only (like ``engine.metrics``) so any layer —
 ``logic``, ``omega``, ``fastpath``, ``engine``, ``qa`` — can instrument
 itself without import cycles.
@@ -83,6 +88,10 @@ class Span:
 
     def context(self) -> SpanContext:
         return SpanContext(self.trace_id, self.span_id)
+
+    def fail(self, exc: BaseException) -> None:
+        self.status = "error"
+        self.error = f"{type(exc).__name__}: {exc}"
 
     def as_payload(self) -> dict[str, Any]:
         """A JSON-safe flat dict (the JSONL line body)."""
@@ -207,10 +216,22 @@ class SpanTracer:
         if not self.enabled:
             yield NOOP_SPAN
             return
+        span = self._open(name, attributes)
+        token = _CURRENT.set(span)
+        try:
+            yield span
+        except BaseException as exc:
+            span.fail(exc)
+            raise
+        finally:
+            span.end = time.perf_counter()
+            _CURRENT.reset(token)
+            self._record(span)
+
+    def _open(self, name: str, attributes: dict[str, object]) -> Span:
+        """A new child of the active span (or a new trace root), started now."""
         parent = _CURRENT.get()
-        if isinstance(parent, Span):
-            trace_id, parent_id = parent.trace_id, parent.span_id
-        elif isinstance(parent, SpanContext):
+        if parent is not None:
             trace_id, parent_id = parent.trace_id, parent.span_id
         else:
             trace_id, parent_id = f"t{self._new_id()}", None
@@ -223,17 +244,7 @@ class SpanTracer:
         )
         for key, value in attributes.items():
             span.attributes[key] = _scalar(value)
-        token = _CURRENT.set(span)
-        try:
-            yield span
-        except BaseException as exc:
-            span.status = "error"
-            span.error = f"{type(exc).__name__}: {exc}"
-            raise
-        finally:
-            span.end = time.perf_counter()
-            _CURRENT.reset(token)
-            self._record(span)
+        return span
 
     def _record(self, span: Span) -> None:
         with self._lock:
@@ -497,6 +508,60 @@ TRACER = SpanTracer()
 def span(name: str, **attributes: object):
     """Shorthand for ``TRACER.span(name, **attributes)``."""
     return TRACER.span(name, **attributes)
+
+
+class Stage:
+    """The handle :func:`stage` yields: span attributes in, duration out."""
+
+    __slots__ = ("span", "seconds")
+
+    def __init__(self, span: Span | _NoopSpan) -> None:
+        self.span = span
+        #: The stage's duration, set when the block exits.
+        self.seconds = 0.0
+
+    def set_attribute(self, key: str, value: object) -> None:
+        self.span.set_attribute(key, value)
+
+
+@contextmanager
+def stage(name: str, *, metrics=None, **attributes: object) -> Iterator[Stage]:
+    """Time one pipeline stage once and report it through both channels.
+
+    The clock is read once at entry and once at exit.  That duration always
+    feeds the ``name`` timer of ``metrics`` (default: the process-wide
+    ``METRICS`` registry), errors included; while tracing is on the same
+    interval is also recorded as a ``name`` span carrying ``attributes``.
+    Exceptions mark the span ``status="error"`` and propagate.
+    """
+    # Imported per call: ``engine.cache`` imports this module at load time,
+    # so a module-level import of the engine package would be circular.
+    from repro.engine.metrics import METRICS
+
+    timer = (metrics or METRICS).timer(name)
+    if not TRACER.enabled:
+        handle = Stage(NOOP_SPAN)
+        start = time.perf_counter()
+        try:
+            yield handle
+        finally:
+            handle.seconds = time.perf_counter() - start
+            timer.observe(handle.seconds)
+        return
+    span = TRACER._open(name, attributes)
+    handle = Stage(span)
+    token = _CURRENT.set(span)
+    try:
+        yield handle
+    except BaseException as exc:
+        span.fail(exc)
+        raise
+    finally:
+        span.end = time.perf_counter()
+        handle.seconds = span.end - span.start
+        _CURRENT.reset(token)
+        TRACER._record(span)
+        timer.observe(handle.seconds)
 
 
 def current_span() -> Span | _NoopSpan:

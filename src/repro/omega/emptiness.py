@@ -20,12 +20,11 @@ Everything here is polynomial except nothing — no cycle enumeration is used.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 
-from repro.engine.metrics import METRICS, trace
-from repro.obs.spans import span
+from repro.engine.metrics import METRICS
+from repro.obs.spans import stage
 from repro.omega.acceptance import Acceptance, Kind, Pair
 from repro.omega.automaton import DetAutomaton
 from repro.omega.graph import can_reach, is_nontrivial_component, restricted_sccs
@@ -97,26 +96,14 @@ def nonempty_states(aut: DetAutomaton) -> frozenset[int]:
     """
     from repro.fastpath.config import kernel_selected
 
-    with span("emptiness.nonempty_states", states=aut.num_states) as obs_span:
-        start = time.perf_counter()
+    with stage("emptiness.nonempty_states", states=aut.num_states) as step:
         if kernel_selected("emptiness", aut.num_states * len(aut.alphabet)):
             from repro.fastpath.scc import nonempty_states_dense
 
-            route = "dense"
             result = nonempty_states_dense(aut)
         else:
-            route = "reference"
             result = can_reach(aut.num_states, accepting_cycle_states(aut), aut.successors)
-        elapsed = time.perf_counter() - start
-        METRICS.timer("emptiness.nonempty_states").observe(elapsed)
-        obs_span.set_attribute("live", len(result))
-        trace(
-            "emptiness.nonempty_states",
-            states=aut.num_states,
-            live=len(result),
-            seconds=elapsed,
-            route=route,
-        )
+        step.set_attribute("live", len(result))
     return result
 
 
@@ -313,18 +300,12 @@ class ProductCheck:
             ]
 
     def witness_component(self) -> frozenset[int] | None:
-        with span(
+        with stage(
             "emptiness.product_check",
             states=self.automaton.num_states,
             route="dense" if self._dense else "reference",
         ):
-            start = time.perf_counter()
-            try:
-                return self._witness_component()
-            finally:
-                METRICS.timer("emptiness.product_check").observe(
-                    time.perf_counter() - start
-                )
+            return self._witness_component()
 
     def _witness_component(self) -> frozenset[int] | None:
         aut = self.automaton

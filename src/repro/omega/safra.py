@@ -133,39 +133,22 @@ def _safra_step(
 def determinize(nba: NBA) -> DetAutomaton:
     """Safra's construction; the result is a deterministic Rabin automaton
     accepting exactly the NBA's language."""
-    from repro.obs.spans import span
-
-    with span("safra.determinize", nba_states=nba.num_states) as obs_span:
-        return _determinize(nba, obs_span)
-
-
-def _determinize(nba: NBA, obs_span) -> DetAutomaton:
-    import time
-
-    from repro.engine.metrics import METRICS, trace
+    from repro.engine.metrics import METRICS
     from repro.fastpath.config import kernel_selected
+    from repro.obs.spans import stage
 
-    start = time.perf_counter()
-    # Tree work per macrostate grows with the (up to exponential) number of
-    # Safra nodes, so the work proxy is deliberately superlinear in |Q|.
-    if kernel_selected("safra", nba.num_states ** 2 * len(nba.alphabet)):
-        from repro.fastpath.safra import determinize_dense
+    with stage("safra.determinize", nba_states=nba.num_states) as step:
+        # Tree work per macrostate grows with the (up to exponential) number
+        # of Safra nodes, so the work proxy is deliberately superlinear in |Q|.
+        if kernel_selected("safra", nba.num_states ** 2 * len(nba.alphabet)):
+            from repro.fastpath.safra import determinize_dense
 
-        result = determinize_dense(nba)
-    else:
-        result = _determinize_reference(nba)
-    elapsed = time.perf_counter() - start
-    METRICS.timer("safra.determinize").observe(elapsed)
+            result = determinize_dense(nba)
+        else:
+            result = _determinize_reference(nba)
+        step.set_attribute("dra_states", result.num_states)
+        step.set_attribute("pairs", len(result.acceptance.pairs))
     METRICS.histogram("safra.macrostates").observe(result.num_states)
-    obs_span.set_attribute("dra_states", result.num_states)
-    obs_span.set_attribute("pairs", len(result.acceptance.pairs))
-    trace(
-        "safra.determinize",
-        nba_states=nba.num_states,
-        dra_states=result.num_states,
-        pairs=len(result.acceptance.pairs),
-        seconds=elapsed,
-    )
     return result
 
 

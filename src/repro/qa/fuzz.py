@@ -6,28 +6,26 @@ subject and checks it through all of the oracle's routes.  Disagreements are
 greedily shrunk (:mod:`repro.qa.shrink`) and written to ``qa/corpus/`` as
 JSON artifacts, where the tier-1 suite replays them forever after.
 
-Observability rides on :mod:`repro.engine.metrics` — the same counters,
-timers and trace events the evaluation engine emits — so a fuzz run shows
-up in ``METRICS.report()`` next to the classifier and Safra timers:
+Observability rides on the same stages and counters the evaluation engine
+uses, so a fuzz run shows up in ``METRICS.report()`` next to the classifier
+and Safra timers:
 
 * counters ``qa.fuzz.cases``, ``qa.fuzz.cases.<oracle>``,
   ``qa.fuzz.disagreements``;
-* timer ``qa.fuzz.case``;
-* trace events ``qa.fuzz.run`` (one per run) and ``qa.fuzz.disagreement``
-  (one per failure, carrying the shrunk artifact).
+* stages (timer + span) ``qa.fuzz.run``, one per run, and ``qa.fuzz.case``,
+  one per case; a disagreeing case's span carries its ``detail``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.engine.metrics import METRICS, trace
-from repro.obs.spans import span
+from repro.engine.metrics import METRICS
+from repro.obs.spans import stage
 from repro.qa.generate import GeneratorConfig, coerce_rng
 from repro.qa.oracles import ORACLES, Oracle, oracle_named
 
@@ -116,23 +114,11 @@ def run_fuzz(
     selected = [oracle_named(name) for name in names]
     rng = coerce_rng(seed)
     report = FuzzReport(seed=seed, budget=budget, oracle_names=names)
-    start = time.perf_counter()
-
-    with span("qa.fuzz.run", seed=seed, budget=budget) as run_span:
+    with stage("qa.fuzz.run", seed=seed, budget=budget) as run:
         _run_cases(selected, rng, config, report, seed, shrink, write_corpus)
-        run_span.set_attribute("cases", report.cases)
-        run_span.set_attribute("disagreements", len(report.failures))
-
-    report.wall_seconds = time.perf_counter() - start
-    METRICS.timer("qa.fuzz.run").observe(report.wall_seconds)
-    trace(
-        "qa.fuzz.run",
-        seed=seed,
-        budget=budget,
-        cases=report.cases,
-        disagreements=len(report.failures),
-        seconds=report.wall_seconds,
-    )
+        run.set_attribute("cases", report.cases)
+        run.set_attribute("disagreements", len(report.failures))
+    report.wall_seconds = run.seconds
     return report
 
 
@@ -147,11 +133,11 @@ def _run_cases(
 ) -> None:
     for case_index in range(report.budget):
         oracle = selected[case_index % len(selected)]
-        with span("qa.fuzz.case", oracle=oracle.name, case=case_index), METRICS.timer(
-            "qa.fuzz.case"
-        ).time():
+        with stage("qa.fuzz.case", oracle=oracle.name, case=case_index) as case:
             subject = oracle.generate(rng, config)
             detail = oracle.check(subject)
+            if detail is not None:
+                case.set_attribute("detail", detail)
         report.cases += 1
         report.per_oracle[oracle.name] = report.per_oracle.get(oracle.name, 0) + 1
         METRICS.counter("qa.fuzz.cases").inc()
@@ -173,12 +159,6 @@ def _run_cases(
             ),
         )
         report.failures.append(failure)
-        trace(
-            "qa.fuzz.disagreement",
-            oracle=oracle.name,
-            case=case_index,
-            detail=shrunk_detail,
-        )
         if write_corpus is not None:
             report.artifacts_written.append(
                 write_artifact(failure.shrunk_artifact, Path(write_corpus))

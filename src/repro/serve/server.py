@@ -562,14 +562,10 @@ class ClassificationServer:
                         continue
                 pending.append(item)
             engine_start = time.perf_counter()
-            computed = self._evaluate(pending)
-            engine_interval = (engine_start, time.perf_counter())
-            for item in pending:
-                # One window, one engine run: every miss in the window gets
-                # the window's engine interval (the per-item share is not
-                # observable from outside the engine).
-                item.marks["engine"] = engine_interval
-            for item, ok, payload_or_error in computed:
+            for item, ok, payload_or_error, seconds in self._evaluate(pending):
+                # Each miss is charged its own evaluation time (a deduplicated
+                # repeat its owner's), anchored at the window's engine start.
+                item.marks["engine"] = (engine_start, engine_start + seconds)
                 if ok and self.store is not None and item.key is not None:
                     self.store.put(item.key, item.verb, payload_or_error)
                 outcomes.append((item, ok, payload_or_error, "computed"))
@@ -577,21 +573,25 @@ class ClassificationServer:
 
     def _evaluate(
         self, items: list[_WorkItem]
-    ) -> list[tuple[_WorkItem, bool, Any]]:
-        """Run one window's store misses: engine for jobs, direct for thunks."""
+    ) -> list[tuple[_WorkItem, bool, Any, float]]:
+        """Run one window's store misses: engine for jobs, direct for thunks.
+
+        Each outcome carries the seconds spent evaluating that item.
+        """
         if not items:
             return []
         with span("serve.dispatch", size=len(items)):
-            outcomes: list[tuple[_WorkItem, bool, Any]] = []
+            outcomes: list[tuple[_WorkItem, bool, Any, float]] = []
             engine_items = [item for item in items if item.job is not None]
             if engine_items:
                 try:
                     report = self.engine.run([item.job for item in engine_items])
                     for item, result in zip(engine_items, report.results):
                         if result.ok:
-                            outcomes.append((item, True, item.to_payload(result.value)))
+                            outcome = item.to_payload(result.value)
                         else:
-                            outcomes.append((item, False, result.error))
+                            outcome = result.error
+                        outcomes.append((item, result.ok, outcome, result.seconds))
                 except Exception:  # noqa: BLE001 — degrade, don't fail requests
                     self.metrics.counter("serve.degraded_batches").inc()
                     outcomes.extend(self._evaluate_serial(item) for item in engine_items)
@@ -600,15 +600,17 @@ class ClassificationServer:
             )
             return outcomes
 
-    def _evaluate_serial(self, item: _WorkItem) -> tuple[_WorkItem, bool, Any]:
+    def _evaluate_serial(self, item: _WorkItem) -> tuple[_WorkItem, bool, Any, float]:
         """The degradation floor: one request, this thread, no pools."""
+        start = time.perf_counter()
         try:
             if item.compute is not None:
-                return item, True, item.compute()
-            value = item.job.evaluate(self.bank)
-            return item, True, item.to_payload(value)
+                payload = item.compute()
+            else:
+                payload = item.to_payload(item.job.evaluate(self.bank))
+            return item, True, payload, time.perf_counter() - start
         except Exception as error:  # noqa: BLE001
-            return item, False, f"{type(error).__name__}: {error}"
+            return item, False, f"{type(error).__name__}: {error}", time.perf_counter() - start
 
     # -------------------------------------------------------------- responses
 

@@ -1,8 +1,9 @@
-"""The metrics registry: counters, timers, histograms, traces, hot-path hooks."""
+"""The metrics registry: counters, timers, histograms, and the hot-path stages
+that feed it."""
 
 import threading
 
-from repro.engine.metrics import METRICS, Histogram, MetricsRegistry, timed
+from repro.engine.metrics import METRICS, Histogram, MetricsRegistry
 
 
 class TestInstruments:
@@ -39,18 +40,6 @@ class TestInstruments:
         assert timer.mean == 0.5
         assert (timer.min, timer.max) == (0.25, 0.75)
 
-    def test_timer_context_manager(self):
-        registry = MetricsRegistry()
-        with registry.timer("t").time():
-            pass
-        assert registry.timer("t").count == 1
-
-    def test_timed_helper_uses_global_registry(self):
-        before = METRICS.timer("test.timed_helper").count
-        with timed("test.timed_helper"):
-            pass
-        assert METRICS.timer("test.timed_helper").count == before + 1
-
     def test_histogram_buckets(self):
         histogram = Histogram("h", bounds=[10, 100])
         for value in (1, 5, 50, 5000):
@@ -63,43 +52,6 @@ class TestInstruments:
 
 
 class TestTraces:
-    def test_trace_buffers_events_and_counts(self):
-        registry = MetricsRegistry()
-        registry.trace("unit.event", states=7)
-        registry.trace("unit.other")
-        events = registry.recent_events("unit.event")
-        assert len(events) == 1
-        assert events[0].get("states") == 7
-        assert registry.counter("trace.unit.event").value == 1
-
-    def test_trace_hooks_fan_out(self):
-        registry = MetricsRegistry()
-        seen = []
-        hook = seen.append
-        registry.add_trace_hook(hook)
-        registry.trace("unit.event", x=1)
-        registry.remove_trace_hook(hook)
-        registry.trace("unit.event", x=2)
-        assert len(seen) == 1
-        assert seen[0].get("x") == 1
-
-    def test_failing_hook_is_isolated_and_counted(self):
-        """One broken hook must not break the hot path nor later hooks."""
-        registry = MetricsRegistry()
-        seen = []
-
-        def broken(_event):
-            raise RuntimeError("hook exploded")
-
-        registry.add_trace_hook(broken)
-        registry.add_trace_hook(seen.append)
-        event = registry.trace("unit.event", x=1)  # must not raise
-        assert event.get("x") == 1
-        assert len(seen) == 1  # the hook after the broken one still ran
-        assert registry.counter("trace.hook_errors").value == 1
-        registry.trace("unit.event", x=2)
-        assert registry.counter("trace.hook_errors").value == 2
-
     def test_merge_snapshot_folds_worker_registry(self):
         worker = MetricsRegistry()
         worker.counter("jobs").inc(3)
@@ -138,13 +90,19 @@ class TestTraces:
         assert delta["counters"] == {"work": 2}
         assert delta["timers"]["t"]["count"] == 1
 
-    def test_ring_buffer_is_bounded(self):
-        registry = MetricsRegistry(trace_capacity=16)
-        for index in range(100):
-            registry.trace("unit.event", index=index)
-        events = registry.recent_events()
-        assert len(events) == 16
-        assert events[-1].get("index") == 99
+    def test_merge_snapshot_skips_mismatched_histogram_whole(self):
+        """Bucket labels that do not line up merge nothing, not a prefix."""
+        worker = MetricsRegistry()
+        for value in (1, 2, 7):
+            worker.histogram("sizes", bounds=[1, 2, 10]).observe(value)
+
+        parent = MetricsRegistry()
+        local = parent.histogram("sizes", bounds=[1, 2, 5])
+        parent.merge_snapshot(worker.snapshot())
+
+        assert parent.counter("merge.histogram_mismatch").value == 1
+        assert local.observations == 0
+        assert local.as_dict() == {"le_1": 0, "le_2": 0, "le_5": 0, "overflow": 0, "sum": 0.0}
 
     def test_snapshot_and_reset(self):
         registry = MetricsRegistry()
@@ -212,27 +170,28 @@ class TestTraces:
 
 
 class TestHotPathInstrumentation:
-    """The Safra / GPVW / emptiness / classifier paths emit real events."""
+    """The Safra / GPVW / emptiness / classifier paths record real stages."""
 
     def test_pipeline_emits_traces(self):
         from repro.core import classify_formula
         from repro.logic import parse_formula
+        from repro.obs.spans import TRACER
         from repro.words import Alphabet
 
-        seen = []
-        METRICS.add_trace_hook(seen.append)
-        try:
-            # "G (p -> F q)" takes the general GPVW → Safra route.
+        # "(G F p -> G F q)" takes the general GPVW → Safra route.
+        with TRACER.tracing():
             classify_formula(
                 parse_formula("(G F p -> G F q)"),
                 Alphabet.powerset_of_propositions(["p", "q"]),
             )
-        finally:
-            METRICS.remove_trace_hook(seen.append)
-        events = {event.event for event in seen}
-        assert "gpvw.translate" in events
-        assert "safra.determinize" in events
-        assert "classifier.classify_formula" in events
+            spans = TRACER.finished()
+        TRACER.clear()
+        attributes = {}
+        for recorded in spans:
+            attributes.setdefault(recorded.name, set()).update(recorded.attributes)
+        assert {"tableau_nodes", "nba_states", "past_atoms"} <= attributes["gpvw.translate"]
+        assert {"nba_states", "dra_states", "pairs"} <= attributes["safra.determinize"]
+        assert {"states", "canonical"} <= attributes["classifier.classify_formula"]
 
     def test_monitor_setup_times_emptiness(self):
         from repro.core.monitor import PrefixMonitor

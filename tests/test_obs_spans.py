@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine.metrics import METRICS, MetricsRegistry
 from repro.obs.spans import (
     NOOP_SPAN,
     Span,
@@ -13,6 +14,7 @@ from repro.obs.spans import (
     annotate,
     current_span,
     span,
+    stage,
 )
 
 
@@ -193,3 +195,64 @@ def test_annotate_is_silent_when_disabled():
     TRACER.disable()
     annotate("nothing", "happens")  # must not raise
     assert current_span() is NOOP_SPAN
+
+
+class TestStage:
+    """``stage()``: one clock pair feeding the timer and, when on, the span."""
+
+    @pytest.fixture
+    def traced(self):
+        TRACER.enable()
+        yield TRACER
+        TRACER.disable()
+        TRACER.clear()
+
+    def test_untraced_stage_observes_timer_and_records_no_span(self):
+        TRACER.disable()
+        TRACER.clear()
+        registry = MetricsRegistry()
+        with stage("unit.stage", metrics=registry, size=3) as step:
+            step.set_attribute("ignored", 1)  # a no-op, must not raise
+        timer = registry.timer("unit.stage")
+        assert timer.count == 1
+        assert timer.total == step.seconds > 0.0
+        assert len(TRACER) == 0
+
+    def test_traced_stage_span_duration_equals_timer_total(self, traced):
+        registry = MetricsRegistry()
+        with span("outer") as outer:
+            with stage("unit.stage", metrics=registry, size=3) as step:
+                assert current_span() is step.span
+                step.set_attribute("extra", "yes")
+        [recorded] = [s for s in traced.finished() if s.name == "unit.stage"]
+        assert recorded.parent_id == outer.span_id
+        assert recorded.attributes == {"size": 3, "extra": "yes"}
+        timer = registry.timer("unit.stage")
+        assert timer.count == 1
+        assert recorded.duration == timer.total == step.seconds
+
+    def test_failing_stage_marks_span_and_still_times(self, traced):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError, match="boom"):
+            with stage("unit.stage", metrics=registry):
+                raise ValueError("boom")
+        [recorded] = traced.finished()
+        assert recorded.status == "error"
+        assert recorded.error == "ValueError: boom"
+        assert registry.timer("unit.stage").count == 1
+        assert registry.timer("unit.stage").total == recorded.duration
+
+    def test_failing_untraced_stage_still_times(self):
+        TRACER.disable()
+        registry = MetricsRegistry()
+        with pytest.raises(KeyError):
+            with stage("unit.stage", metrics=registry):
+                raise KeyError("missing")
+        assert registry.timer("unit.stage").count == 1
+
+    def test_default_registry_is_global_metrics(self):
+        TRACER.disable()
+        before = METRICS.timer("test.stage_default").count
+        with stage("test.stage_default"):
+            pass
+        assert METRICS.timer("test.stage_default").count == before + 1

@@ -4,7 +4,7 @@ Satellite coverage for the telemetry plane: the happy path (a client span
 parenting the server's request span across a real socket), the strict
 rejection of malformed/oversized ``trace`` fields without collateral damage
 to the connection, id uniqueness across reconnects, and batched-window
-engine attribution.
+engine attribution (each store miss charged its own engine time).
 """
 
 import json
@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.engine.cache import CacheBank
 from repro.engine.metrics import MetricsRegistry
 from repro.obs.spans import TRACER
 from repro.serve.client import ServeClient, ServeError
@@ -127,6 +128,31 @@ class TestWireStitching:
         for request_span in server_roots:
             parent = client_roots[request_span.parent_id]
             assert request_span.trace_id == parent.trace_id
+
+
+class TestPerItemEngineCost:
+    def test_misses_in_one_window_carry_their_own_engine_time(self, tmp_path, tracer):
+        # A window long enough that both pipelined requests share it.
+        config = ServerConfig(
+            port=0, window_ms=200.0, store_path=str(tmp_path / "store.db"), trace=True
+        )
+        cheap, expensive = "p", "!G F (p & q) | G F (s | r)"
+        with start_in_thread(config, bank=CacheBank(), metrics=MetricsRegistry()) as server:
+            with ServeClient.connect("127.0.0.1", server.port, trace=False) as quiet:
+                ids = [quiet.send("classify", formula=f) for f in (cheap, expensive)]
+                for request_id in ids:
+                    quiet.unwrap(quiet.recv_for(request_id))
+        spans = tracer.finished()
+        [window] = [s for s in spans if s.name == "serve.batch"]
+        assert window.attributes["size"] == 2
+        subject_of = {
+            s.span_id: s.attributes["subject"] for s in spans if s.name == "serve.request"
+        }
+        engine = {
+            subject_of[s.parent_id]: s for s in spans if s.name == "serve.stage.engine"
+        }
+        assert engine[cheap].start == engine[expensive].start
+        assert engine[cheap].duration < engine[expensive].duration
 
 
 class TestMalformedTraceOnTheWire:
