@@ -10,8 +10,8 @@ kernel that runs.  Methodology:
   0.7× "regression" for a kernel that profiles 2× faster);
 * the per-route time is the minimum over ``--repeat`` runs (minimum, not
   mean: noise on a quiet machine is strictly additive);
-* each run re-checks that the two routes agree (tables equal for the
-  construction kernels, verdicts/sets equal for the emptiness kernels)
+* each run re-checks that the two routes agree (verdicts/sets equal for
+  the emptiness kernels, reports and automata equal for ``classify``)
   before its timing is accepted.
 
 The JSON report (``BENCH_fastpath.json`` at the repo root) is the committed
@@ -67,20 +67,6 @@ class _Workload:
     agree: Callable[[object, object], bool]
 
 
-def _nth_from_end_nfa(n: int):
-    """L = {w : the n-th symbol from the end is 'a'} — determinizes to 2ⁿ
-    states; the canonical subset-construction stress shape."""
-    from repro.finitary.nfa import NFA
-    from repro.words.alphabet import Alphabet
-
-    alphabet = Alphabet(("a", "b"))
-    transitions = {(0, "a"): {0, 1}, (0, "b"): {0}}
-    for i in range(1, n):
-        transitions[(i, "a")] = {i + 1}
-        transitions[(i, "b")] = {i + 1}
-    return NFA(alphabet, n + 1, transitions, [0], [n])
-
-
 def _streett_automaton(rng: random.Random, n: int, pairs: int, p_left: float, p_right: float):
     """A complete Streett automaton with sparse left sets — sparse enough
     that emptiness checking has to prune SCCs deeply before concluding."""
@@ -100,52 +86,6 @@ def _streett_automaton(rng: random.Random, n: int, pairs: int, p_left: float, p_
         ]
     )
     return DetAutomaton(alphabet, rows, 0, acceptance)
-
-
-def _tables_equal(a, b) -> bool:
-    return (
-        a._delta == b._delta  # noqa: SLF001 — structural identity is the contract
-        and a.accepting == b.accepting
-        and a.initial == b.initial
-    )
-
-
-def _subset_workload(quick: bool) -> _Workload:
-    n = 9 if quick else 11
-    nfa = _nth_from_end_nfa(n)
-    return _Workload(
-        description=f"determinize nth-from-end NFA, n={n} ({2 ** n} subset states)",
-        run=nfa.determinize,
-        agree=_tables_equal,
-    )
-
-
-def _minimize_workload(quick: bool) -> _Workload:
-    # The reference minimizer is O(n²k), so its speedup grows quickly with
-    # size; the quick workload stays within a factor of two of the full
-    # one's speedup only from about 1024 states up.
-    n = 10 if quick else 11
-    dfa = _nth_from_end_nfa(n).determinize()
-    return _Workload(
-        description=f"minimize the {dfa.num_states}-state nth-from-end DFA, n={n}",
-        run=dfa.minimized,
-        agree=_tables_equal,
-    )
-
-
-def _dfa_product_workload(quick: bool) -> _Workload:
-    from repro.finitary.dfa import random_dfa
-    from repro.words.alphabet import Alphabet
-
-    size = 80 if quick else 150
-    alphabet = Alphabet(("a", "b", "c"))
-    dfa_a = random_dfa(alphabet, size, random.Random(3))
-    dfa_b = random_dfa(alphabet, size, random.Random(4))
-    return _Workload(
-        description=f"intersection of two random {size}-state DFAs",
-        run=lambda: dfa_a.intersection(dfa_b),
-        agree=_tables_equal,
-    )
 
 
 def _product_emptiness_workload(quick: bool) -> _Workload:
@@ -224,13 +164,9 @@ def _classify_workload(quick: bool) -> _Workload:
     )
 
 
-#: Kernel name → workload factory, in report order.  The first two named
-#: kernels are the acceptance-gated ones.
+#: Kernel name → workload factory, in report order.
 BENCHMARKS: Mapping[str, Callable[[bool], _Workload]] = {
-    "subset": _subset_workload,
     "product_emptiness": _product_emptiness_workload,
-    "minimize": _minimize_workload,
-    "dfa_product": _dfa_product_workload,
     "nonempty": _nonempty_workload,
     "classify": _classify_workload,
 }

@@ -42,6 +42,16 @@ class AutomatonError(ReproError):
     """An automaton is structurally malformed for the requested operation."""
 
 
+#: The most states any automaton construction may discover before it gives
+#: up with :func:`state_limit_exceeded`.
+STATE_LIMIT = 2_000_000
+
+
+def state_limit_exceeded(limit: int) -> AutomatonError:
+    """The error a construction raises once it would exceed ``limit`` states."""
+    return AutomatonError(f"automaton construction exceeded {limit} states")
+
+
 class DeterminismError(AutomatonError):
     """An operation requiring a deterministic automaton received one that is not."""
 

@@ -4,46 +4,15 @@ A set of states ``S ⊆ {0..n-1}`` is the integer ``Σ_{s∈S} 2^s``.  Union,
 intersection and difference become single big-int operations executed in C,
 membership is a shift-and-test, and the masks double as perfect dict keys —
 the representation every dense kernel in this package shares.
+
+Packing and unpacking go through a little-endian byte buffer: ``mask |= 1 <<
+s`` copies the whole big int per member (O(|S|·n/64) total), while the byte
+buffer costs O(|S| + n/8) — the difference dominates SCC-sized sets.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-
-
-def mask_of(states: Iterable[int]) -> int:
-    """The bitmask of an iterable of state indices."""
-    mask = 0
-    for state in states:
-        mask |= 1 << state
-    return mask
-
-
-def bits(mask: int) -> Iterator[int]:
-    """The set bits of ``mask``, ascending (lowest-bit extraction)."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def bit_list(mask: int) -> list[int]:
-    """The set bits of ``mask`` as an ascending list."""
-    return list(bits(mask))
-
-
-def to_frozenset(mask: int) -> frozenset[int]:
-    """The bitmask decoded back into a ``frozenset`` of state indices."""
-    return frozenset(bits(mask))
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
-# Byte-level pack/unpack: ``mask |= 1 << s`` copies the whole big int per
-# member (O(|S|·n/64) total), while going through a little-endian byte
-# buffer costs O(|S| + n/8) — the difference dominates SCC-sized sets.
+from collections.abc import Iterable
 
 _BYTE_POSITIONS = tuple(
     tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)

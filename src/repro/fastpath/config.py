@@ -1,74 +1,38 @@
-"""Fastpath route selection: auto thresholds, forcing, and hit counters.
+"""Fastpath route selection: one size rule, and one override for tests.
 
-Three knobs, checked in this order:
+The six ω kernels (GPVW, Safra, quotient, emptiness, product, Wagner) each
+keep a reference route and a dense route.  :func:`dense_route` picks the
+dense one when the call's work estimate reaches :data:`DENSE_MIN_WORK`.
+"Work units" are ``states × |Σ|`` for single-automaton kernels and the
+product of the state counts times ``|Σ|`` for product kernels — a proxy
+for the table size the kernel will touch.  Both sides of the cutoff carry
+real traffic: small inputs are faster on the reference route, whose set-up
+is cheaper, and large ones on the dense route.
 
-1. :func:`forced` — a context manager used by benchmarks and differential
-   tests to pin one route for the current process, overriding everything;
-2. ``REPRO_FASTPATH`` — ``auto`` (default), ``on`` (always dense) or
-   ``off`` (always reference);
-3. ``REPRO_FASTPATH_THRESHOLD`` — the work-unit cutoff for ``auto`` mode
-   (default :data:`DEFAULT_THRESHOLD`).  "Work units" are
-   ``states × alphabet`` for single-automaton kernels and the product of
-   the state counts times the alphabet for product kernels — a proxy for
-   the table size the kernel will touch.
-
-Every selection decision increments ``fastpath.<kernel>.hit`` or
-``fastpath.<kernel>.fallback`` in the global metrics registry, so a
-``METRICS.report()`` after any workload shows exactly which kernels ran
-dense and which fell back.
+:func:`forced` pins one route for a block; the qa ``fastpath`` oracle and
+the benchmark harness use it to run both routes on the same input.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.engine.metrics import METRICS
-from repro.obs.spans import annotate
-
-MODE_ENV = "REPRO_FASTPATH"
-THRESHOLD_ENV = "REPRO_FASTPATH_THRESHOLD"
-VECTOR_ENV = "REPRO_FASTPATH_VECTOR"
-
-#: Default ``auto``-mode cutoff, in work units (``states × |Σ|``).  Small
-#: enough that the paper-scale examples stay on the audited reference route
-#: while anything benchmark-sized goes dense.
-DEFAULT_THRESHOLD = 256
+#: Work-unit cutoff from which the dense route runs.  Small enough that
+#: anything benchmark-sized goes dense, while the paper-scale examples stay
+#: on the audited reference route.
+DENSE_MIN_WORK = 256
 
 _MODES = ("auto", "on", "off")
 
-#: Process-local override installed by :func:`forced`; beats the env var.
-_forced_mode: str | None = None
-
-
-def fastpath_mode() -> str:
-    """The effective mode: ``auto``, ``on`` or ``off``."""
-    if _forced_mode is not None:
-        return _forced_mode
-    raw = os.environ.get(MODE_ENV, "auto").strip().lower()
-    return raw if raw in _MODES else "auto"
-
-
-def fastpath_threshold() -> int:
-    """The ``auto``-mode work-unit cutoff (≥ 1)."""
-    raw = os.environ.get(THRESHOLD_ENV)
-    if raw is None:
-        return DEFAULT_THRESHOLD
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_THRESHOLD
-    return max(1, value)
+#: Process-local override installed by :func:`forced`.
+_forced_mode: str = "auto"
 
 
 @contextmanager
 def forced(mode: str) -> Iterator[None]:
-    """Pin the fastpath mode for a block (``on``/``off``/``auto``).
-
-    Used by the benchmark runner to time both routes and by the qa oracle
-    to cross-check them; nests, restoring the previous override on exit.
-    """
+    """Pin the route for a block: ``on`` (dense), ``off`` (reference) or
+    ``auto`` (the size rule); nests, restoring the previous mode on exit."""
     if mode not in _MODES:
         raise ValueError(f"fastpath mode must be one of {_MODES}, got {mode!r}")
     global _forced_mode
@@ -80,25 +44,8 @@ def forced(mode: str) -> Iterator[None]:
         _forced_mode = previous
 
 
-def vector_enabled() -> bool:
-    """Whether the numpy/scipy SCC backend may be used (when importable).
-
-    ``REPRO_FASTPATH_VECTOR=off`` pins the dense route to the pure-Python
-    kernels — the qa oracle uses this to cross-check both backends; any
-    other value (or unset) leaves the choice to availability + round size.
-    """
-    return os.environ.get(VECTOR_ENV, "auto").strip().lower() != "off"
-
-
-def kernel_selected(kernel: str, work: int) -> bool:
-    """Decide the route for one kernel invocation and count the decision."""
-    mode = fastpath_mode()
-    if mode == "on":
-        chosen = True
-    elif mode == "off":
-        chosen = False
-    else:
-        chosen = work >= fastpath_threshold()
-    METRICS.counter(f"fastpath.{kernel}.{'hit' if chosen else 'fallback'}").inc()
-    annotate(f"fastpath.{kernel}.route", "dense" if chosen else "reference")
-    return chosen
+def dense_route(work: int) -> bool:
+    """Whether a kernel call of ``work`` units takes the dense route."""
+    if _forced_mode == "auto":
+        return work >= DENSE_MIN_WORK
+    return _forced_mode == "on"

@@ -13,12 +13,9 @@ discovery — so the produced tables match the reference row for row.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
-from repro.errors import AutomatonError
-from repro.fastpath.tables import flat_table, flat_table_over
-
-_BUILD_LIMIT = 2_000_000
+from repro.errors import STATE_LIMIT, state_limit_exceeded
 
 #: Largest code space for which the pair kernel trades the interning dict
 #: for a flat slot array (4M entries ≈ 32 MB of small-int pointers).
@@ -34,7 +31,7 @@ def explore_pair_dense(
     initial_a: int,
     initial_b: int,
     *,
-    state_limit: int = _BUILD_LIMIT,
+    state_limit: int = STATE_LIMIT,
 ) -> tuple[list[list[int]], list[tuple[int, int]]]:
     """BFS product of two flat tables; returns (rows, order-of-pairs).
 
@@ -46,14 +43,6 @@ def explore_pair_dense(
     scaled_a = [target * n_b for target in table_a]
     initial = initial_a * n_b + initial_b
     total = n_a * n_b
-    if total <= _FLAT_INDEX_LIMIT:
-        from repro.fastpath import vector
-        from repro.fastpath.config import vector_enabled
-
-        if vector.HAVE_VECTOR and vector_enabled():
-            return _explore_pair_vector(
-                scaled_a, table_b, n_b, k, initial, total, state_limit
-            )
     order: list[int] = [initial]
     rows: list[list[int]] = []
     head = 0
@@ -74,9 +63,7 @@ def explore_pair_dense(
                 slot = slots[successor]
                 if slot < 0:
                     if len(order) >= state_limit:
-                        raise AutomatonError(
-                            f"automaton construction exceeded {state_limit} states"
-                        )
+                        raise state_limit_exceeded(state_limit)
                     slot = len(order)
                     slots[successor] = slot
                     order.append(successor)
@@ -99,9 +86,7 @@ def explore_pair_dense(
             slot = index.get(successor)
             if slot is None:
                 if len(order) >= state_limit:
-                    raise AutomatonError(
-                        f"automaton construction exceeded {state_limit} states"
-                    )
+                    raise state_limit_exceeded(state_limit)
                 slot = len(order)
                 index[successor] = slot
                 order.append(successor)
@@ -110,54 +95,13 @@ def explore_pair_dense(
     return rows, [divmod(code, n_b) for code in order]
 
 
-def _explore_pair_vector(
-    scaled_a, table_b, n_b: int, k: int, initial: int, total: int, state_limit: int
-) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """Level-synchronous BFS of the pair product in numpy.
-
-    Processing one whole frontier at a time is equivalent to the sequential
-    queue: the tables are static, frontier states sit in slot order, and new
-    codes are numbered by first occurrence in the row-major successor matrix
-    — exactly the order the per-state loop would discover them in.
-    """
-    import numpy as _np
-
-    rows_a = _np.asarray(scaled_a, dtype=_np.int64).reshape(-1, k)
-    rows_b = _np.asarray(table_b, dtype=_np.int64).reshape(-1, k)
-    slots = _np.full(total, -1, dtype=_np.int64)
-    slots[initial] = 0
-    count = 1
-    frontier = _np.asarray([initial], dtype=_np.int64)
-    level_codes = [frontier]
-    row_chunks = []
-    while frontier.size:
-        successors = rows_a[frontier // n_b] + rows_b[frontier % n_b]
-        flat = successors.ravel()
-        undiscovered = flat[slots[flat] < 0]
-        values, first_position = _np.unique(undiscovered, return_index=True)
-        fresh = values[_np.argsort(first_position, kind="stable")]
-        if count + fresh.size > state_limit:
-            raise AutomatonError(
-                f"automaton construction exceeded {state_limit} states"
-            )
-        slots[fresh] = _np.arange(count, count + fresh.size)
-        count += fresh.size
-        row_chunks.append(slots[successors])
-        level_codes.append(fresh)
-        frontier = fresh
-    rows = _np.concatenate(row_chunks).tolist()
-    codes = _np.concatenate(level_codes)
-    order = list(zip((codes // n_b).tolist(), (codes % n_b).tolist()))
-    return rows, order
-
-
 def explore_vector_dense(
     tables: Sequence,
     sizes: Sequence[int],
     k: int,
     initials: Sequence[int],
     *,
-    state_limit: int = _BUILD_LIMIT,
+    state_limit: int = STATE_LIMIT,
 ) -> tuple[list[list[int]], list[tuple[int, ...]]]:
     """BFS product of N flat tables; returns (rows, order-of-vectors)."""
     m = len(tables)
@@ -210,34 +154,10 @@ def explore_vector_dense(
             slot = index.get(successor)
             if slot is None:
                 if len(order) >= state_limit:
-                    raise AutomatonError(
-                        f"automaton construction exceeded {state_limit} states"
-                    )
+                    raise state_limit_exceeded(state_limit)
                 slot = len(order)
                 index[successor] = slot
                 order.append(successor)
             append(slot)
         rows.append(row)
     return rows, [decode(code) for code in order]
-
-
-def dfa_product_dense(dfa_a, dfa_b, combine: Callable[[bool, bool], bool]):
-    """The reference ``DFA._product`` over dense tables (same state order)."""
-    from repro.finitary.dfa import DFA
-
-    k = len(dfa_a.alphabet)
-    rows, order = explore_pair_dense(
-        flat_table(dfa_a._delta),  # noqa: SLF001 — fastpath is the in-tree twin
-        dfa_a.num_states,
-        flat_table_over(dfa_b._delta, dfa_b.alphabet, dfa_a.alphabet),  # noqa: SLF001
-        dfa_b.num_states,
-        k,
-        dfa_a.initial,
-        dfa_b.initial,
-    )
-    accept_a = dfa_a.accepting
-    accept_b = dfa_b.accepting
-    accepting = [
-        i for i, (p, q) in enumerate(order) if combine(p in accept_a, q in accept_b)
-    ]
-    return DFA.trusted(dfa_a.alphabet, rows, 0, accepting)

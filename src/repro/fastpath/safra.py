@@ -26,12 +26,10 @@ same table, the same Rabin pairs in the same order.
 
 from __future__ import annotations
 
-from repro.errors import AutomatonError
+from repro.errors import STATE_LIMIT, state_limit_exceeded
 from repro.fastpath.labels import nba_partition
 from repro.omega.acceptance import Acceptance, Kind, Pair
 from repro.omega.automaton import DetAutomaton
-
-_BUILD_LIMIT = 2_000_000
 
 #: The dead macrostate (empty tree) — reference ``(None, frozenset())``.
 _DEAD = (None, 0)
@@ -176,7 +174,7 @@ def _step(signature, cls: int, post, num_classes: int, accept_mask: int, chunk: 
     return _freeze(root), marked
 
 
-def determinize_dense(nba, *, state_limit: int = _BUILD_LIMIT) -> DetAutomaton:
+def determinize_dense(nba, *, state_limit: int = STATE_LIMIT) -> DetAutomaton:
     """Safra's construction over masks and compressed labels.
 
     Returns a deterministic Rabin automaton bit-identical to the reference
@@ -226,9 +224,7 @@ def determinize_dense(nba, *, state_limit: int = _BUILD_LIMIT) -> DetAutomaton:
             slot = index.get(successor)
             if slot is None:
                 if len(order) >= state_limit:
-                    raise AutomatonError(
-                        f"automaton construction exceeded {state_limit} states"
-                    )
+                    raise state_limit_exceeded(state_limit)
                 slot = len(order)
                 index[successor] = slot
                 order.append(successor)

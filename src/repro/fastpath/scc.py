@@ -15,13 +15,7 @@ Representation notes:
   (:func:`repro.fastpath.bitset.pack_mask`) rather than bit-by-bit;
 * the pruning recursion reuses one set of scratch arrays, resetting only
   the entries its candidate touched, so a deep recursion over shrinking
-  candidates does ``O(|candidate|)`` work per round, not ``O(n)``;
-* when numpy + scipy are importable (optional — see
-  :mod:`repro.fastpath.vector`), pruning rounds over *large* candidates are
-  routed to C SCC/BFS passes instead of the interpreted Tarjan loop; the
-  small tail rounds of a deep pruning stay on the scratch arrays, whose
-  per-round overhead is lower.  ``REPRO_FASTPATH_VECTOR=off`` pins
-  everything to pure Python.
+  candidates does ``O(|candidate|)`` work per round, not ``O(n)``.
 
 The *sets* these kernels compute — the union of accepting-cycle states, the
 backward closure, the emptiness verdict — are identical to the reference
@@ -35,34 +29,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.fastpath.bitset import pack_mask, unpack_positions
-from repro.fastpath.config import vector_enabled
-from repro.fastpath import vector
-
-#: Candidate size below which the pure Tarjan scratch beats the fixed
-#: per-round cost of building a scipy CSR subgraph.
-VECTOR_MIN_STATES = 192
-
-
-def _vector_delta(num_states: int, adjacency):
-    """The adjacency as a numpy table when the vector backend applies."""
-    if (
-        vector.HAVE_VECTOR
-        and num_states >= VECTOR_MIN_STATES
-        and vector_enabled()
-    ):
-        return vector.delta_array(adjacency)
-    return None
-
-
-def prepared_adjacency(num_states: int, adjacency):
-    """Pre-convert an adjacency for repeated kernel calls on one graph.
-
-    When the vector backend will be used, returns the numpy table so each
-    kernel's own conversion is a no-op; otherwise returns the input
-    unchanged.  Every kernel accepts either form.
-    """
-    delta = _vector_delta(num_states, adjacency)
-    return adjacency if delta is None else delta
 
 
 class _TarjanScratch:
@@ -78,9 +44,6 @@ class _TarjanScratch:
 
     def __init__(self, num_states: int, adjacency: Sequence[Sequence[int]]) -> None:
         self.num_states = num_states
-        tolist = getattr(adjacency, "tolist", None)
-        if tolist is not None:  # numpy table — nested lists iterate faster here
-            adjacency = tolist()
         self.adjacency = adjacency
         self.index = [num_states] * num_states
         self.lowlink = [0] * num_states
@@ -170,13 +133,6 @@ def restricted_sccs_masked(
     ]
 
 
-def _is_nontrivial(members: list[int], adjacency) -> bool:
-    if len(members) > 1:
-        return True
-    state = members[0]
-    return state in adjacency[state]
-
-
 def streett_good_masks(
     num_states: int,
     initial_mask: int,
@@ -189,36 +145,13 @@ def streett_good_masks(
 
     The mask twin of ``streett_good_components``: a sub-SCC ``S`` is good
     when every pair satisfies ``S & left`` or ``S & ~right == 0``.
-
-    Rounds over large candidates run through the scipy SCC backend when it
-    is available; the fixpoint itself — and therefore the resulting set of
-    good masks — is the same either way.
     """
-    delta = _vector_delta(num_states, adjacency)
-    pair_bools = None
+    if scratch is None:
+        scratch = _TarjanScratch(num_states, adjacency)
     good: list[int] = []
-    pending: list = [unpack_positions(initial_mask)]
+    pending = [unpack_positions(initial_mask)]
     while pending:
         candidate = pending.pop()
-        if delta is not None and len(candidate) >= VECTOR_MIN_STATES:
-            if pair_bools is None:
-                pair_bools = [
-                    (
-                        vector.bools_from_mask(left, num_states),
-                        vector.bools_from_mask(right, num_states),
-                    )
-                    for left, right in pairs
-                ]
-            found, rest = vector.streett_round(
-                delta, vector.as_state_array(candidate), pair_bools, num_states
-            )
-            good.extend(found)
-            pending.extend(rest)
-            continue
-        if scratch is None:
-            scratch = _TarjanScratch(num_states, adjacency)
-        if not isinstance(candidate, list):
-            candidate = candidate.tolist()
         for members in scratch.sccs(candidate, nontrivial_only=True):
             scc_mask = pack_mask(members, num_states)
             restricted = scc_mask
@@ -241,21 +174,10 @@ def rabin_cycle_mask(
     pairs: Sequence[tuple[int, int]],
 ) -> int:
     """States on a cycle meeting some ``E_i`` while avoiding its ``F_i``."""
-    delta = _vector_delta(num_states, adjacency)
-    scratch = None
+    scratch = _TarjanScratch(num_states, adjacency)
     result = 0
     for left, right in pairs:
         allowed = unpack_positions(initial_mask & ~right)
-        if delta is not None and len(allowed) >= VECTOR_MIN_STATES:
-            result |= vector.rabin_pair_mask(
-                delta,
-                vector.as_state_array(allowed),
-                vector.bools_from_mask(left, num_states),
-                num_states,
-            )
-            continue
-        if scratch is None:
-            scratch = _TarjanScratch(num_states, adjacency)
         for members in scratch.sccs(allowed, nontrivial_only=True):
             scc_mask = pack_mask(members, num_states)
             if scc_mask & left:
@@ -267,9 +189,6 @@ def reachable_mask(
     num_states: int, initial: int, adjacency: Sequence[Sequence[int]]
 ) -> int:
     """Forward closure from ``initial``, as a bitmask."""
-    delta = _vector_delta(num_states, adjacency)
-    if delta is not None:
-        return vector.forward_closure_mask(delta, initial, num_states)
     seen = bytearray(num_states)
     seen[initial] = 1
     reached = [initial]
@@ -290,9 +209,6 @@ def can_reach_mask(
     num_states: int, target_mask: int, adjacency: Sequence[Sequence[int]]
 ) -> int:
     """Backward closure: states from which ``target_mask`` is reachable."""
-    delta = _vector_delta(num_states, adjacency)
-    if delta is not None:
-        return vector.backward_closure_mask(delta, target_mask, num_states)
     predecessors: list[list[int]] = [[] for _ in range(num_states)]
     for state in range(num_states):
         for successor in adjacency[state]:
@@ -323,7 +239,7 @@ def nonempty_states_dense(aut) -> frozenset[int]:
     from repro.omega.acceptance import Kind
 
     n = aut.num_states
-    adjacency = prepared_adjacency(n, aut._delta)  # noqa: SLF001 — in-tree twin
+    adjacency = aut._delta  # noqa: SLF001 — in-tree twin
     full = (1 << n) - 1
     pairs = [
         (pack_mask(p.left, n), pack_mask(p.right, n)) for p in aut.acceptance.pairs

@@ -5,15 +5,12 @@ symbols is one flat list of ``n·k`` small ints, row-major:
 ``table[state * k + a]`` is the successor of ``state`` on the symbol with
 index ``a``.  (A plain list beats ``array('l')`` here: array reads box a
 fresh int object per access, while list reads return cached small ints.)
-Nondeterministic structures flatten to ``n·k`` bitmasks instead (see
-:func:`nfa_masks`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.fastpath.bitset import bits, mask_of
 from repro.words.alphabet import Alphabet
 
 
@@ -41,46 +38,3 @@ def flat_table_over(
     for row in rows:
         flat.extend(row[column] for column in columns)
     return flat
-
-
-def nfa_masks(nfa) -> tuple[list[int], int, int]:
-    """Dense view of an :class:`repro.finitary.nfa.NFA`.
-
-    Returns ``(closure_delta, initial_mask, accept_mask)`` where
-    ``closure_delta[s*k + a]`` is the bitmask of
-    ``ε-closure(δ(s, symbol_a))`` — so one subset-construction step is a
-    single OR-reduction over the member bits of the current subset mask.
-    """
-    n = nfa.num_states
-    k = len(nfa.alphabet)
-
-    # Per-state ε-closure masks (reflexive-transitive, by BFS per state).
-    epsilon = [mask_of(nfa.epsilon.get(s, ())) for s in range(n)]
-    closure = [0] * n
-    for s in range(n):
-        seen = 1 << s
-        frontier = seen
-        while frontier:
-            step = 0
-            for t in bits(frontier):
-                step |= epsilon[t]
-            frontier = step & ~seen
-            seen |= step
-        closure[s] = seen
-
-    closure_delta = [0] * (n * k)
-    for (state, symbol), targets in nfa.transitions.items():
-        mask = 0
-        for target in targets:
-            mask |= closure[target]
-        closure_delta[state * k + nfa.alphabet.index(symbol)] = mask
-
-    initial_mask = 0
-    for s in nfa.initials:
-        initial_mask |= closure[s]
-    return closure_delta, initial_mask, mask_of(nfa.accepting)
-
-
-def adjacency_lists(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Symbol-erased, deduplicated successor lists (ascending per state)."""
-    return [sorted(set(row)) for row in rows]

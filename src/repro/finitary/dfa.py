@@ -15,11 +15,9 @@ import random
 from collections import deque
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 
-from repro.errors import AutomatonError
+from repro.errors import STATE_LIMIT, AutomatonError, state_limit_exceeded
 from repro.words.alphabet import Alphabet, Symbol
 from repro.words.finite import FiniteWord
-
-_BUILD_LIMIT = 2_000_000
 
 
 def explore(
@@ -27,7 +25,7 @@ def explore(
     initial: Hashable,
     successor: Callable[[Hashable, Symbol], Hashable],
     *,
-    state_limit: int = _BUILD_LIMIT,
+    state_limit: int = STATE_LIMIT,
 ) -> tuple[list[list[int]], list[Hashable]]:
     """Breadth-first freeze of an abstract deterministic transition system.
 
@@ -46,7 +44,7 @@ def explore(
             nxt = successor(current, symbol)
             if nxt not in index:
                 if len(index) >= state_limit:
-                    raise AutomatonError(f"automaton construction exceeded {state_limit} states")
+                    raise state_limit_exceeded(state_limit)
                 index[nxt] = len(order)
                 order.append(nxt)
                 queue.append(nxt)
@@ -151,7 +149,7 @@ class DFA:
         successor: Callable[[Hashable, Symbol], Hashable],
         is_accepting: Callable[[Hashable], bool],
         *,
-        state_limit: int = _BUILD_LIMIT,
+        state_limit: int = STATE_LIMIT,
     ) -> DFA:
         """Freeze an abstract deterministic transition system into a DFA.
 
@@ -171,14 +169,6 @@ class DFA:
     def _product(self, other: DFA, combine: Callable[[bool, bool], bool]) -> DFA:
         if not self.alphabet.is_compatible_with(other.alphabet):
             raise AutomatonError("product of DFAs over different alphabets")
-        from repro.fastpath.config import kernel_selected
-
-        if kernel_selected(
-            "dfa_product", self.num_states * other.num_states * len(self.alphabet)
-        ):
-            from repro.fastpath.product import dfa_product_dense
-
-            return dfa_product_dense(self, other, combine)
 
         def successor(pair: tuple[int, int], symbol: Symbol) -> tuple[int, int]:
             return self.step(pair[0], symbol), other.step(pair[1], symbol)
@@ -287,17 +277,7 @@ class DFA:
         Unreachable states are dropped; the result is unique up to state
         numbering, which is fixed by breadth-first order from the initial
         state, so equal languages yield structurally identical automata.
-
-        Large inputs route through the array-based Hopcroft kernel
-        (:func:`repro.fastpath.minimize.minimized_dense`), which returns
-        the same canonical automaton; see ``docs/PERFORMANCE.md``.
         """
-        from repro.fastpath.config import kernel_selected
-
-        if kernel_selected("minimize", self.num_states * len(self.alphabet)):
-            from repro.fastpath.minimize import minimized_dense
-
-            return minimized_dense(self)
         reachable = sorted(self.reachable_states())
         position = {s: i for i, s in enumerate(reachable)}
         block = [1 if s in self.accepting else 0 for s in reachable]
@@ -316,13 +296,15 @@ class DFA:
                 break
             block = new_block
 
+        representative: dict[int, int] = {}
+        for s in reachable:
+            representative.setdefault(block[position[s]], s)
+
         def successor(b: int, symbol: Symbol) -> int:
-            representative = next(s for s in reachable if block[position[s]] == b)
-            return block[position[self.step(representative, symbol)]]
+            return block[position[self.step(representative[b], symbol)]]
 
         def accepting(b: int) -> bool:
-            representative = next(s for s in reachable if block[position[s]] == b)
-            return representative in self.accepting
+            return representative[b] in self.accepting
 
         return DFA.build(self.alphabet, block[position[self.initial]], successor, accepting)
 

@@ -61,18 +61,7 @@ class NFA:
         return bool(current & self.accepting)
 
     def determinize(self) -> DFA:
-        """The subset construction; the result is complete (∅ is the trap).
-
-        Large inputs route through the dense bitset kernel
-        (:func:`repro.fastpath.subset.determinize_dense`), which returns a
-        structurally identical DFA; see ``docs/PERFORMANCE.md``.
-        """
-        from repro.fastpath.config import kernel_selected
-
-        if kernel_selected("subset", self.num_states * len(self.alphabet)):
-            from repro.fastpath.subset import determinize_dense
-
-            return determinize_dense(self)
+        """The subset construction; the result is complete (∅ is the trap)."""
         initial = self.epsilon_closure(self.initials)
         return DFA.build(
             self.alphabet,

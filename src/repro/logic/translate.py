@@ -208,7 +208,7 @@ def formula_to_nba(formula: Formula, alphabet: Alphabet) -> NBA:
     The result's language is ``Sat(φ)`` restricted to the alphabet; past
     subformulas are handled by composing with the deterministic past tester.
     """
-    from repro.fastpath.config import kernel_selected
+    from repro.fastpath.config import dense_route
     from repro.obs.spans import stage
 
     with stage("gpvw.translate") as step:
@@ -255,7 +255,7 @@ def formula_to_nba(formula: Formula, alphabet: Alphabet) -> NBA:
         # pseudo-initial state.  Enumerated lazily breadth-first; the dense twin
         # (repro.fastpath.gpvw) produces a bit-identical enumeration stepping
         # once per symbol-valuation class instead of once per symbol.
-        if kernel_selected("gpvw", len(nodes) * len(alphabet)):
+        if dense_route(len(nodes) * len(alphabet)):
             from repro.fastpath.gpvw import enumerate_dense
 
             order, transitions, accepting = enumerate_dense(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from functools import cached_property
 
-from repro.errors import AutomatonError
+from repro.errors import STATE_LIMIT, AutomatonError
 from repro.finitary.dfa import DFA, explore
 from repro.omega.acceptance import Acceptance, Kind, Pair
 from repro.omega.graph import reachable_from
@@ -140,7 +140,7 @@ class DetAutomaton:
         successor: Callable[[Hashable, Symbol], Hashable],
         acceptance_of: Callable[[list[Hashable]], Acceptance],
         *,
-        state_limit: int = 2_000_000,
+        state_limit: int = STATE_LIMIT,
     ) -> DetAutomaton:
         """Freeze an abstract deterministic system; ``acceptance_of`` receives
         the discovery-ordered abstract states and returns the acceptance over

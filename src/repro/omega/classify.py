@@ -58,9 +58,7 @@ class _WagnerBackend:
     order-independent (existence checks, maxima, DAG relabelings).
     """
 
-    __slots__ = (
-        "aut", "dense", "_scc", "_scratch", "_adjacency", "_vector", "_pair_masks"
-    )
+    __slots__ = ("aut", "dense", "_scc", "_scratch", "_pair_masks")
 
     @classmethod
     def of(cls, aut: DetAutomaton) -> "_WagnerBackend":
@@ -70,9 +68,9 @@ class _WagnerBackend:
         ``forced``-mode differential run never reuses the other route's
         backend): one analysis pass asks for the same graph many times.
         """
-        from repro.fastpath.config import kernel_selected
+        from repro.fastpath.config import dense_route
 
-        dense = kernel_selected("wagner", aut.num_states * len(aut.alphabet))
+        dense = dense_route(aut.num_states * len(aut.alphabet))
         cache = aut.__dict__.setdefault("_wagner_backends", {})
         backend = cache.get(dense)
         if backend is None:
@@ -88,39 +86,16 @@ class _WagnerBackend:
 
             n = aut.num_states
             self._scc = _scc
-            self._vector = _scc._vector_delta(n, aut._delta)  # noqa: SLF001
-            self._adjacency = (
-                aut._delta if self._vector is None else self._vector  # noqa: SLF001
-            )
-            self._scratch = _scc._TarjanScratch(n, self._adjacency)  # noqa: SLF001
+            self._scratch = _scc._TarjanScratch(n, aut._delta)  # noqa: SLF001
             self._pair_masks = [
                 (_scc.pack_mask(p.left, n), _scc.pack_mask(p.right, n))
                 for p in aut.acceptance.pairs
             ]
 
     def sccs(self, states) -> list[list[int]]:
-        """Restricted SCC member lists of the subgraph induced by ``states``.
-
-        Large candidates route through the scipy SCC pass when available;
-        the component *sets* are identical to Tarjan's, only the emission
-        order (and the member order within a component) differs.
-        """
+        """Restricted SCC member lists of the subgraph induced by ``states``."""
         if self.dense:
-            candidate = sorted(states)
-            if (
-                self._vector is not None
-                and len(candidate) >= self._scc.VECTOR_MIN_STATES
-            ):
-                from repro.fastpath import vector
-
-                labels, n_comp, _ = vector.strong_components(
-                    self._vector, vector.as_state_array(candidate)
-                )
-                groups: list[list[int]] = [[] for _ in range(n_comp)]
-                for state, component in zip(candidate, labels.tolist()):
-                    groups[component].append(state)
-                return groups
-            return self._scratch.sccs(candidate)
+            return self._scratch.sccs(sorted(states))
         return restricted_sccs(states, self.aut.successors)
 
     def good_components(self, states) -> list[frozenset[int]]:
@@ -133,7 +108,7 @@ class _WagnerBackend:
                 for mask in scc.streett_good_masks(
                     n,
                     scc.pack_mask(states, n),
-                    self._adjacency,
+                    self.aut._delta,  # noqa: SLF001
                     self._pair_masks,
                     scratch=self._scratch,
                 )

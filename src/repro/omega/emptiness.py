@@ -94,10 +94,10 @@ def nonempty_states(aut: DetAutomaton) -> frozenset[int]:
     (:func:`repro.fastpath.scc.nonempty_states_dense`), which computes the
     identical state set; see ``docs/PERFORMANCE.md``.
     """
-    from repro.fastpath.config import kernel_selected
+    from repro.fastpath.config import dense_route
 
     with stage("emptiness.nonempty_states", states=aut.num_states) as step:
-        if kernel_selected("emptiness", aut.num_states * len(aut.alphabet)):
+        if dense_route(aut.num_states * len(aut.alphabet)):
             from repro.fastpath.scc import nonempty_states_dense
 
             result = nonempty_states_dense(aut)
@@ -208,14 +208,14 @@ class ProductCheck:
         if len(automata) != len(complemented):
             raise ValueError("one complement flag per automaton is required")
         first = automata[0]
-        from repro.fastpath.config import kernel_selected
+        from repro.fastpath.config import dense_route
 
         work = len(first.alphabet)
         for aut in automata:
             work *= aut.num_states
         # One route per ProductCheck: the same selection drives the explore,
         # the case representation (frozensets vs masks) and the witness.
-        self._dense = kernel_selected("product", work)
+        self._dense = dense_route(work)
         if self._dense:
             from repro.fastpath.product import explore_vector_dense
             from repro.fastpath.tables import flat_table_over
@@ -308,12 +308,9 @@ class ProductCheck:
             return self._witness_component()
 
     def _witness_component(self) -> frozenset[int] | None:
-        aut = self.automaton
-        METRICS.counter(
-            f"fastpath.product_emptiness.{'hit' if self._dense else 'fallback'}"
-        ).inc()
         if self._dense:
             return self._witness_component_dense()
+        aut = self.automaton
         reachable = aut.reachable
         for streett, rabin_conjuncts in self.cases:
             # inf must avoid every Rabin F and meet every Rabin E: delete the
@@ -337,16 +334,12 @@ class ProductCheck:
         component may be a different (equally valid) accepting sub-SCC than
         the reference route would enumerate first.
         """
-        from repro.fastpath.bitset import to_frozenset
-        from repro.fastpath.scc import (
-            prepared_adjacency,
-            reachable_mask,
-            streett_good_masks,
-        )
+        from repro.fastpath.bitset import unpack_positions
+        from repro.fastpath.scc import reachable_mask, streett_good_masks
 
         aut = self.automaton
         n = aut.num_states
-        adjacency = prepared_adjacency(n, aut._delta)  # noqa: SLF001 — rows double as adjacency
+        adjacency = aut._delta  # noqa: SLF001 — rows double as adjacency
         reachable = reachable_mask(n, aut.initial, adjacency)
         for streett, rabin_conjuncts in self.cases:
             removed = 0
@@ -357,7 +350,7 @@ class ProductCheck:
             arena = reachable & ~removed
             good = streett_good_masks(n, arena, adjacency, pairs)
             if good:
-                return to_frozenset(good[0])
+                return frozenset(unpack_positions(good[0]))
         return None
 
     def witness_lasso(self) -> LassoWord | None:

@@ -48,13 +48,13 @@ def _color_of(aut: DetAutomaton, state: int) -> tuple[bool, ...]:
 
 def quotient_reduce(aut: DetAutomaton) -> DetAutomaton:
     """The coarsest color-respecting bisimulation quotient (reachable part)."""
-    from repro.fastpath.config import kernel_selected
+    from repro.fastpath.config import dense_route
 
     trimmed = aut.trim()
     states = list(trimmed.states)
     colors = [_color_of(trimmed, state) for state in states]
 
-    if kernel_selected("quotient", trimmed.num_states * len(trimmed.alphabet)):
+    if dense_route(trimmed.num_states * len(trimmed.alphabet)):
         from repro.fastpath.reduce import quotient_blocks_dense
 
         block = dict(

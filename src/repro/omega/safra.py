@@ -134,13 +134,13 @@ def determinize(nba: NBA) -> DetAutomaton:
     """Safra's construction; the result is a deterministic Rabin automaton
     accepting exactly the NBA's language."""
     from repro.engine.metrics import METRICS
-    from repro.fastpath.config import kernel_selected
+    from repro.fastpath.config import dense_route
     from repro.obs.spans import stage
 
     with stage("safra.determinize", nba_states=nba.num_states) as step:
         # Tree work per macrostate grows with the (up to exponential) number
         # of Safra nodes, so the work proxy is deliberately superlinear in |Q|.
-        if kernel_selected("safra", nba.num_states ** 2 * len(nba.alphabet)):
+        if dense_route(nba.num_states ** 2 * len(nba.alphabet)):
             from repro.fastpath.safra import determinize_dense
 
             result = determinize_dense(nba)

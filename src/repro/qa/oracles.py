@@ -451,36 +451,6 @@ class AutomatonOracle(Oracle):
 # ---------------------------------------------------------------------------
 
 
-def _nfa_to_json(nfa) -> dict[str, Any]:
-    return {
-        "num_states": nfa.num_states,
-        "edges": [
-            [state, str(symbol), sorted(targets)]
-            for (state, symbol), targets in sorted(
-                nfa.transitions.items(), key=lambda item: (item[0][0], str(item[0][1]))
-            )
-        ],
-        "epsilon": [
-            [state, sorted(targets)] for state, targets in sorted(nfa.epsilon.items())
-        ],
-        "initials": sorted(nfa.initials),
-        "accepting": sorted(nfa.accepting),
-    }
-
-
-def _nfa_from_json(data: dict[str, Any], alphabet: Alphabet):
-    from repro.finitary.nfa import NFA
-
-    return NFA(
-        alphabet,
-        data["num_states"],
-        {(state, symbol): set(targets) for state, symbol, targets in data["edges"]},
-        data["initials"],
-        data["accepting"],
-        {state: set(targets) for state, targets in data["epsilon"]},
-    )
-
-
 def _nba_to_json(nba) -> dict[str, Any]:
     return {
         "num_states": nba.num_states,
@@ -511,53 +481,30 @@ def _nba_from_json(data: dict[str, Any], alphabet: Alphabet):
 
 
 class FastpathOracle(Oracle):
-    """Every dense kernel against its reference twin, on one random subject.
+    """Every dense ω kernel against its reference twin, on one random subject.
 
     The contract being checked is the fastpath parity contract
-    (``docs/PERFORMANCE.md``): subset construction, minimization and DFA
-    products must return *structurally identical* automata; emptiness
-    kernels must return identical state sets and verdicts (witness
-    components may legitimately differ).  When numpy/scipy are importable
-    the dense route is additionally cross-checked against itself with the
-    vectorized SCC backend disabled, so all three implementations must
-    agree before a case passes.
+    (``docs/PERFORMANCE.md``): Safra determinization, the GPVW tableau and
+    quotient reduction must return *structurally identical* automata, and
+    label compression must round-trip; the emptiness and product kernels
+    must return identical state sets and verdicts (witness components may
+    legitimately differ).
     """
 
     name = "fastpath"
-    routes = (
-        "reference kernels",
-        "dense bitset kernels",
-        "vectorized SCC backend (when importable)",
-    )
+    routes = ("reference kernels", "dense bitset kernels")
 
     def generate(self, rng: random.Random, config: GeneratorConfig):
-        from repro.qa.generate import random_nba, random_nfa
+        from repro.qa.generate import random_nba
 
-        nfa_a = random_nfa(rng, config.alphabet, rng.randrange(3, 8))
-        nfa_b = random_nfa(rng, config.alphabet, rng.randrange(3, 8))
-        # Mostly small ω-automata; occasionally large enough that the
-        # emptiness kernels cross the vectorized-backend threshold.
+        # Mostly small ω-automata; occasionally a few hundred states, so the
+        # dense SCC pruning also runs deep on a large graph.
         size = rng.randrange(200, 256) if rng.random() < 0.15 else None
         aut_a = random_det_automaton(rng, config.alphabet, size or config.max_states, config.max_pairs)
         aut_b = random_det_automaton(rng, config.alphabet, config.max_states, config.max_pairs)
         nba = random_nba(rng, config.alphabet, 8)
         formula = random_formula(rng, config.propositions, config.max_depth)
-        return nfa_a, nfa_b, aut_a, aut_b, rng.random() < 0.5, nba, formula
-
-    @staticmethod
-    def _same_dfa(a, b) -> bool:
-        return (
-            a._delta == b._delta  # noqa: SLF001 — structural identity is the contract
-            and a.initial == b.initial
-            and a.accepting == b.accepting
-        )
-
-    def _emptiness_views(self, aut_a, aut_b, complemented):
-        from repro.omega.emptiness import ProductCheck, nonempty_states
-
-        nonempty = nonempty_states(aut_a)
-        check = ProductCheck([aut_a, aut_b], [False, complemented])
-        return nonempty, check.witness_component() is None
+        return aut_a, aut_b, rng.random() < 0.5, nba, formula
 
     @staticmethod
     def _same_det(a, b) -> bool:
@@ -568,57 +515,30 @@ class FastpathOracle(Oracle):
         )
 
     def check(self, subject) -> str | None:
-        import os
-
         from repro.fastpath.config import forced
         from repro.fastpath.labels import compress_det, expand_det
-        from repro.fastpath.vector import HAVE_VECTOR
         from repro.logic.translate import formula_to_nba
+        from repro.omega.emptiness import ProductCheck, nonempty_states
+        from repro.omega.reduce import quotient_reduce
         from repro.omega.safra import determinize
 
-        nfa_a, nfa_b, aut_a, aut_b, complemented, nba, formula = subject
+        aut_a, aut_b, complemented, nba, formula = subject
 
-        def construction_views():
-            dfa_a = nfa_a.determinize()
-            dfa_b = nfa_b.determinize()
-            return (
-                dfa_a,
-                dfa_b,
-                dfa_a.minimized(),
-                dfa_a.intersection(dfa_b),
-                dfa_a.union(dfa_b),
-            )
-
-        def omega_views():
+        def views():
             return (
                 determinize(nba),
                 formula_to_nba(formula, nba.alphabet),
+                quotient_reduce(aut_a),
+                nonempty_states(aut_a),
+                ProductCheck([aut_a, aut_b], [False, complemented]).witness_component()
+                is None,
             )
 
         with forced("off"):
-            reference = construction_views()
-            dra_ref, nba_ref = omega_views()
-            nonempty_ref, empty_ref = self._emptiness_views(aut_a, aut_b, complemented)
+            dra_ref, nba_ref, quotient_ref, nonempty_ref, empty_ref = views()
         with forced("on"):
-            dense = construction_views()
-            dra_fast, nba_fast = omega_views()
-            nonempty_fast, empty_fast = self._emptiness_views(aut_a, aut_b, complemented)
-            if HAVE_VECTOR:
-                # Third route: the dense kernels with the vector backend off.
-                os.environ["REPRO_FASTPATH_VECTOR"] = "off"
-                try:
-                    nonempty_pure, empty_pure = self._emptiness_views(
-                        aut_a, aut_b, complemented
-                    )
-                finally:
-                    os.environ.pop("REPRO_FASTPATH_VECTOR", None)
-                if nonempty_pure != nonempty_fast or empty_pure != empty_fast:
-                    return "dense route disagrees with itself across SCC backends"
+            dra_fast, nba_fast, quotient_fast, nonempty_fast, empty_fast = views()
 
-        names = ("determinize(A)", "determinize(B)", "minimized", "intersection", "union")
-        for name, ref, fast in zip(names, reference, dense):
-            if not self._same_dfa(ref, fast):
-                return f"{name}: dense result not structurally identical to reference"
         if not self._same_det(dra_ref, dra_fast):
             return "safra: dense determinization not structurally identical"
         if (
@@ -628,6 +548,8 @@ class FastpathOracle(Oracle):
             or nba_ref.accepting != nba_fast.accepting
         ):
             return "gpvw: dense tableau enumeration not structurally identical"
+        if not self._same_det(quotient_ref, quotient_fast):
+            return "quotient: dense reduction not structurally identical"
         restored = expand_det(*compress_det(dra_ref))
         if not self._same_det(dra_ref, restored):
             return "labels: expand(compress(A)) not structurally identical to A"
@@ -644,10 +566,8 @@ class FastpathOracle(Oracle):
         return None
 
     def to_artifact(self, subject) -> dict[str, Any]:
-        nfa_a, nfa_b, aut_a, aut_b, complemented, nba, formula = subject
+        aut_a, aut_b, complemented, nba, formula = subject
         return {
-            "nfa_a": _nfa_to_json(nfa_a),
-            "nfa_b": _nfa_to_json(nfa_b),
             "aut_a": to_hoa(aut_a),
             "aut_b": to_hoa(aut_b),
             "letters": "".join(str(s) for s in aut_a.alphabet),
@@ -658,31 +578,18 @@ class FastpathOracle(Oracle):
 
     def from_artifact(self, artifact):
         alphabet = Alphabet.from_letters(artifact["letters"])
-        nba_data = artifact.get("nba")
-        nba = (
-            _nba_from_json(nba_data, alphabet)
-            if nba_data is not None
-            else _nba_from_json(
-                {"num_states": 1, "edges": [], "initials": [0], "accepting": []},
-                alphabet,
-            )
-        )
-        formula = parse_formula(artifact.get("formula", "a"))
         return (
-            _nfa_from_json(artifact["nfa_a"], alphabet),
-            _nfa_from_json(artifact["nfa_b"], alphabet),
             from_hoa(artifact["aut_a"], alphabet=alphabet),
             from_hoa(artifact["aut_b"], alphabet=alphabet),
             artifact["complemented"],
-            nba,
-            formula,
+            _nba_from_json(artifact["nba"], alphabet),
+            parse_formula(artifact["formula"]),
         )
 
     def describe(self, subject) -> str:
-        nfa_a, nfa_b, aut_a, aut_b, complemented, nba, formula = subject
+        aut_a, aut_b, complemented, nba, formula = subject
         return (
-            f"NFAs {nfa_a.num_states}/{nfa_b.num_states} states,"
-            f" ω-automata {aut_a.num_states}/{aut_b.num_states} states,"
+            f"ω-automata {aut_a.num_states}/{aut_b.num_states} states,"
             f" NBA {nba.num_states} states, formula {formula!r},"
             f" complemented={complemented}"
         )

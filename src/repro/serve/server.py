@@ -266,8 +266,12 @@ class ClassificationServer:
         self._stopping = True
         self._draining = True
         if self._server is not None:
+            # Let connections the loop has already accepted attach to the
+            # server first.  asyncio (3.11) drops a connection whose set-up
+            # runs after close() without closing its socket, so its client
+            # would wait out its own timeout instead of seeing the hang-up.
+            await asyncio.sleep(0)
             self._server.close()
-            await self._server.wait_closed()
         try:
             await asyncio.wait_for(self._idle.wait(), self.config.drain_timeout)
         except (asyncio.TimeoutError, TimeoutError):
@@ -278,13 +282,23 @@ class ClassificationServer:
                 await self._dispatcher
             except asyncio.CancelledError:
                 pass
-        for conn in list(self._connections):
+        writers = [conn.writer for conn in self._connections]
+        for conn in self._connections:
             conn.closed = True
             try:
                 conn.writer.close()
             except Exception:  # noqa: BLE001 — already-broken sockets
                 pass
         self._connections.clear()
+        # Wait until the sockets are really shut, so every client sees the
+        # hang-up before this returns and the event loop goes away.
+        closing = asyncio.gather(
+            *(writer.wait_closed() for writer in writers), return_exceptions=True
+        )
+        try:
+            await asyncio.wait_for(closing, self.config.drain_timeout)
+        except (asyncio.TimeoutError, TimeoutError):
+            self.metrics.counter("serve.drain_timeouts").inc()
         if self.sidecar is not None:
             # Off-loop: sidecar.stop() joins its serving thread.
             await asyncio.to_thread(self.sidecar.stop)
@@ -295,13 +309,30 @@ class ClassificationServer:
 
     # ----------------------------------------------------------- connections
 
-    async def _handle_client(
+    def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    ):
+        """Register a new connection and return the coroutine serving it.
+
+        The stream protocol calls this synchronously when the connection is
+        made, before the serving task first runs, so :meth:`stop` sees every
+        accepted connection.  One accepted once stopping has begun is closed
+        at once.
+        """
         with span("serve.accept", draining=self._draining):
             self.metrics.counter("serve.connections").inc()
             conn = _Connection(writer=writer, lock=asyncio.Lock())
-            self._connections.add(conn)
+            if self._stopping:
+                conn.closed = True
+                writer.close()
+            else:
+                self._connections.add(conn)
+        return self._serve_connection(conn, reader)
+
+    async def _serve_connection(
+        self, conn: _Connection, reader: asyncio.StreamReader
+    ) -> None:
+        writer = conn.writer
         try:
             while not conn.closed:
                 try:

@@ -1,13 +1,12 @@
-"""The dense fastpath kernels: differential parity, the vectorized SCC
-backend, route selection, and the benchmark harness plumbing.
+"""The dense fastpath kernels: differential parity, route selection, and
+the benchmark harness plumbing.
 
 The headline test drives the qa ``fastpath`` oracle over enough generated
-subjects that well over 200 automata/DFAs are cross-checked reference vs
-dense per run — the parity contract (structural identity for constructions,
+subjects that well over 200 automata are cross-checked reference vs dense
+per run — the parity contract (structural identity for constructions,
 set/verdict identity for emptiness) is enforced object by object.
 """
 
-import os
 import random
 
 import pytest
@@ -20,18 +19,16 @@ from repro.bench.fastpath import (
     report_json,
     run_benchmarks,
 )
-from repro.engine.metrics import METRICS
 from repro.fastpath import scc
 from repro.fastpath.bitset import pack_mask, unpack_positions
-from repro.fastpath.config import forced, vector_enabled
-from repro.fastpath.vector import HAVE_VECTOR
+from repro.fastpath.config import DENSE_MIN_WORK, dense_route, forced
 from repro.qa.generate import GeneratorConfig
 from repro.qa.oracles import oracle_named
 
 
 class TestFastpathOracleSweep:
     def test_two_hundred_objects_agree(self):
-        """≥200 generated automata/DFAs cross-checked per run, zero
+        """≥200 generated automata cross-checked per run, zero
         disagreements."""
         oracle = oracle_named("fastpath")
         rng = random.Random(1990)
@@ -39,7 +36,7 @@ class TestFastpathOracleSweep:
         generated = 0
         for _ in range(55):
             subject = oracle.generate(rng, config)
-            generated += 4  # two NFAs + two ω-automata per subject
+            generated += 4  # two ω-automata, an NBA and a formula per subject
             detail = oracle.check(subject)
             assert detail is None, detail
         assert generated >= 200
@@ -50,7 +47,7 @@ class TestFastpathOracleSweep:
         subject = oracle.generate(rng, GeneratorConfig())
         restored = oracle.from_artifact(oracle.to_artifact(subject))
         assert oracle.check(restored) is None
-        assert "NFAs" in oracle.describe(restored)
+        assert "ω-automata" in oracle.describe(restored)
 
 
 def _random_graph(rng, n, k):
@@ -59,56 +56,6 @@ def _random_graph(rng, n, k):
 
 def _random_mask(rng, n, density):
     return pack_mask([s for s in range(n) if rng.random() < density], n)
-
-
-@pytest.mark.skipif(not HAVE_VECTOR, reason="numpy/scipy not installed")
-class TestVectorBackendParity:
-    """The scipy-backed SCC/BFS twins must match the pure kernels bit for
-    bit on graphs above the vector threshold."""
-
-    def _both_backends(self, call):
-        os.environ["REPRO_FASTPATH_VECTOR"] = "off"
-        try:
-            pure = call()
-        finally:
-            os.environ.pop("REPRO_FASTPATH_VECTOR", None)
-        return pure, call()
-
-    def test_streett_rabin_and_closures_agree(self):
-        rng = random.Random(2026)
-        for _ in range(25):
-            n = rng.randrange(scc.VECTOR_MIN_STATES, 3 * scc.VECTOR_MIN_STATES)
-            adjacency = _random_graph(rng, n, rng.randrange(1, 4))
-            pairs = [
-                (_random_mask(rng, n, 0.05), _random_mask(rng, n, 0.25))
-                for _ in range(rng.randrange(1, 4))
-            ]
-            full = (1 << n) - 1
-            target = _random_mask(rng, n, 0.03)
-            initial = rng.randrange(n)
-            pure, vec = self._both_backends(
-                lambda: (
-                    sorted(scc.streett_good_masks(n, full, adjacency, pairs)),
-                    scc.rabin_cycle_mask(n, full, adjacency, pairs),
-                    scc.reachable_mask(n, initial, adjacency),
-                    scc.can_reach_mask(n, target, adjacency),
-                )
-            )
-            assert pure == vec
-
-    def test_small_graphs_never_route_to_vector(self):
-        # Below the threshold the pure Tarjan runs even when scipy exists;
-        # identical results either way, so just pin the selection logic.
-        assert scc._vector_delta(scc.VECTOR_MIN_STATES - 1, ((0,),)) is None
-
-    def test_vector_env_off_disables_backend(self):
-        os.environ["REPRO_FASTPATH_VECTOR"] = "off"
-        try:
-            assert not vector_enabled()
-            assert scc._vector_delta(scc.VECTOR_MIN_STATES, ((0,),)) is None
-        finally:
-            os.environ.pop("REPRO_FASTPATH_VECTOR", None)
-        assert vector_enabled()
 
 
 class TestSccKernels:
@@ -134,48 +81,50 @@ class TestSccKernels:
 
 
 class TestKernelRouting:
-    def test_forced_on_selects_dense_and_counts(self):
-        from repro.finitary.nfa import NFA
-        from repro.words.alphabet import Alphabet
-
-        alphabet = Alphabet(("a", "b"))
-        nfa = NFA(alphabet, 2, {(0, "a"): {1}, (1, "b"): {1}}, [0], [1])
-        before = METRICS.counter("fastpath.subset.hit").value
+    def test_forced_pins_the_route(self):
         with forced("on"):
-            dense = nfa.determinize()
+            assert dense_route(0)
         with forced("off"):
-            reference = nfa.determinize()
-        assert METRICS.counter("fastpath.subset.hit").value == before + 1
-        assert dense._delta == reference._delta
-        assert dense.accepting == reference.accepting
+            assert not dense_route(10**9)
+            with forced("on"):  # nests, restoring the outer mode on exit
+                assert dense_route(1)
+            assert not dense_route(10**9)
+        with pytest.raises(ValueError):
+            with forced("dense"):
+                pass
+
+    def test_cutoff_is_dense_min_work(self):
+        assert DENSE_MIN_WORK == 256
+        assert not dense_route(DENSE_MIN_WORK - 1)
+        assert dense_route(DENSE_MIN_WORK)
 
 
 class TestBenchHarness:
     def test_registry_names_cover_acceptance_kernels(self):
-        assert {"subset", "product_emptiness"} <= set(BENCHMARKS)
+        assert set(BENCHMARKS) == {"product_emptiness", "nonempty", "classify"}
 
     def test_run_benchmark_single_kernel(self):
-        results = run_benchmarks(quick=True, repeat=1, kernels=["subset"])
+        results = run_benchmarks(quick=True, repeat=1, kernels=["product_emptiness"])
         assert len(results) == 1
         result = results[0]
-        assert result.kernel == "subset"
+        assert result.kernel == "product_emptiness"
         assert result.reference_ms > 0 and result.fastpath_ms > 0
         assert result.kernel in render_table(results)
 
     def test_report_json_schema(self):
-        result = KernelResult("subset", "workload", 10.0, 2.5)
+        result = KernelResult("nonempty", "workload", 10.0, 2.5)
         import json
 
         payload = json.loads(report_json([result], quick=True, repeat=3))
         assert payload["schema"].startswith("repro-bench-fastpath/")
-        assert payload["kernels"]["subset"]["speedup"] == 4.0
+        assert payload["kernels"]["nonempty"]["speedup"] == 4.0
 
     def test_regression_gate(self):
-        baseline = {"kernels": {"subset": {"speedup": 4.0}, "minimize": {"speedup": 8.0}}}
-        healthy = [KernelResult("subset", "w", 10.0, 3.0)]  # 3.3x > 4.0/2
+        baseline = {"kernels": {"nonempty": {"speedup": 4.0}, "classify": {"speedup": 8.0}}}
+        healthy = [KernelResult("nonempty", "w", 10.0, 3.0)]  # 3.3x > 4.0/2
         assert regressions_against(healthy, baseline) == []
-        regressed = [KernelResult("subset", "w", 10.0, 6.0)]  # 1.67x < 2.0
+        regressed = [KernelResult("nonempty", "w", 10.0, 6.0)]  # 1.67x < 2.0
         failures = regressions_against(regressed, baseline)
-        assert len(failures) == 1 and "subset" in failures[0]
+        assert len(failures) == 1 and "nonempty" in failures[0]
         unknown = [KernelResult("brand-new", "w", 10.0, 9.0)]
         assert regressions_against(unknown, baseline) == []

@@ -297,10 +297,15 @@ class TestRestartDurability:
             handle.stop()
 
     def test_client_surfaces_connection_loss(self):
+        # A connection accepted just before stop() must be hung up on, not
+        # left open until the client's own socket timeout runs out.
         handle = start_in_thread(ServerConfig(port=0), metrics=MetricsRegistry())
-        client = ServeClient.connect(port=handle.port)
+        client = ServeClient.connect(port=handle.port, timeout=10)
         handle.stop()
+        started = time.perf_counter()
         with pytest.raises(ServeConnectionError) as excinfo:
             client.recv()
+        assert time.perf_counter() - started < 3.0
+        assert "server closed the connection" in str(excinfo.value)
         assert excinfo.value.retryable
         client.close()
