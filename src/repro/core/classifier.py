@@ -304,7 +304,7 @@ def formula_report(
         semantic=verdict,
         syntactic=analyze_syntax(formula),
         streett_index=streett_index(automaton),
-        obligation_degree=obligation_degree(automaton),
+        obligation_degree=obligation_degree(automaton, verdict),
         is_uniform_liveness=uniform,
     )
 

@@ -27,8 +27,9 @@ The twins sit behind the public entry points
 :func:`repro.omega.safra.determinize`,
 :func:`repro.omega.reduce.quotient_reduce`,
 :func:`repro.omega.emptiness.nonempty_states`,
-:class:`repro.omega.emptiness.ProductCheck` and the Wagner checks in
-:mod:`repro.omega.classify`).  One size rule picks the route:
+:class:`repro.omega.emptiness.ProductCheck` and
+:class:`repro.omega.emptiness.CycleBackend`, which serves the class checks
+in :mod:`repro.omega.classify`).  One size rule picks the route:
 :func:`fastpath.config.dense_route` sends a call to the dense twin once its
 work estimate reaches :data:`DENSE_MIN_WORK`, and to the reference route
 below it.  :func:`fastpath.config.forced` pins either route for tests and

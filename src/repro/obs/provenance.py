@@ -60,9 +60,10 @@ def class_reasons(membership, index: int) -> list[ClassReason]:
         ClassReason(
             TemporalClass.SAFETY,
             safety,
-            "Π = cl(Π): the automaton is equivalent to its safety closure"
+            "Π = cl(Π): no reachable cycle of live states is rejected"
             if safety
-            else "Π ≠ cl(Π): the safety closure accepts a word the property rejects",
+            else "Π ≠ cl(Π): a reachable cycle of live states is rejected, so the"
+            " safety closure accepts a word the property rejects",
         ),
         ClassReason(
             TemporalClass.GUARANTEE,
@@ -264,6 +265,6 @@ def explain_expression(expression: str, letters: str = "ab", *, bank=None) -> Ex
         reasons=tuple(class_reasons(verdict.membership, index)),
         evidence=automaton_evidence(automaton),
         streett_index=index,
-        obligation_degree=obligation_degree(automaton),
+        obligation_degree=obligation_degree(automaton, verdict),
         is_liveness=verdict.is_liveness,
     )

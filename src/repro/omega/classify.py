@@ -1,9 +1,14 @@
 """Deciding the class of an ω-regular property (§5.1, Landweber/Wagner).
 
-Semantic (authoritative) checks, all polynomial:
+Semantic (authoritative) checks, all polynomial and all on the automaton's
+own graph (no product automata):
 
-* **safety** — ``Π = cl(Π)`` (equivalence with the safety-closure automaton);
-* **guarantee** — the complement is safety;
+* **safety** — ``Π = cl(Π)``: no reachable cycle inside the live states
+  (non-empty residual language) is rejected.  ``Π ⊆ cl(Π)`` holds by
+  construction, and the runs of ``cl(Π)`` are exactly the runs that never
+  leave the live region (:func:`repro.omega.closure.closed_on`);
+* **guarantee** — the complement is safety: no reachable cycle inside the
+  complement's live states is accepted;
 * **recurrence** — Wagner's condition ``J ∈ F ∧ J ⊆ A ⇒ A ∈ F`` on
   accessible cycles, decided without cycle enumeration: a violation exists
   iff some Streett pair ``(R,P)`` admits a non-trivial SCC ``S`` of the
@@ -34,131 +39,45 @@ from functools import lru_cache
 from repro.core.classes import TemporalClass, Verdict
 from repro.omega.acceptance import Kind
 from repro.omega.automaton import DetAutomaton
-from repro.omega.closure import is_liveness, is_safety_closed
-from repro.omega.emptiness import streett_good_components
-from repro.omega.graph import (
-    is_nontrivial_component,
-    reachable_from,
-    restricted_sccs,
-)
+from repro.omega.closure import closed_on, is_safety_closed
+from repro.omega.emptiness import CycleBackend, nonempty_states
+from repro.omega.graph import is_nontrivial_component, reachable_from
 
 # ---------------------------------------------------------------------------
 # Semantic classification
 # ---------------------------------------------------------------------------
 
 
-class _WagnerBackend:
-    """SCC / good-component service for one automaton's analysis pass.
-
-    The Wagner checks decompose many sub-arenas of the same graph; the dense
-    route (selected once per pass) reuses one Tarjan scratch over the flat
-    transition table and computes good components through the mask kernels
-    in :mod:`repro.fastpath.scc`.  Component *sets* are identical either way
-    — only the enumeration order may differ, and every caller below is
-    order-independent (existence checks, maxima, DAG relabelings).
-    """
-
-    __slots__ = ("aut", "dense", "_scc", "_scratch", "_pair_masks")
-
-    @classmethod
-    def of(cls, aut: DetAutomaton) -> "_WagnerBackend":
-        """The backend for ``aut`` on the currently selected route.
-
-        Memoized on the automaton (keyed by the route decision, so a
-        ``forced``-mode differential run never reuses the other route's
-        backend): one analysis pass asks for the same graph many times.
-        """
-        from repro.fastpath.config import dense_route
-
-        dense = dense_route(aut.num_states * len(aut.alphabet))
-        cache = aut.__dict__.setdefault("_wagner_backends", {})
-        backend = cache.get(dense)
-        if backend is None:
-            backend = cls(aut, dense)
-            cache[dense] = backend
-        return backend
-
-    def __init__(self, aut: DetAutomaton, dense: bool) -> None:
-        self.aut = aut
-        self.dense = dense
-        if self.dense:
-            from repro.fastpath import scc as _scc
-
-            n = aut.num_states
-            self._scc = _scc
-            self._scratch = _scc._TarjanScratch(n, aut._delta)  # noqa: SLF001
-            self._pair_masks = [
-                (_scc.pack_mask(p.left, n), _scc.pack_mask(p.right, n))
-                for p in aut.acceptance.pairs
-            ]
-
-    def sccs(self, states) -> list[list[int]]:
-        """Restricted SCC member lists of the subgraph induced by ``states``."""
-        if self.dense:
-            return self._scratch.sccs(sorted(states))
-        return restricted_sccs(states, self.aut.successors)
-
-    def good_components(self, states) -> list[frozenset[int]]:
-        """Maximal accepting sub-SCCs of the induced subgraph (Streett)."""
-        if self.dense:
-            n = self.aut.num_states
-            scc = self._scc
-            return [
-                frozenset(scc.unpack_positions(mask))
-                for mask in scc.streett_good_masks(
-                    n,
-                    scc.pack_mask(states, n),
-                    self.aut._delta,  # noqa: SLF001
-                    self._pair_masks,
-                    scratch=self._scratch,
-                )
-            ]
-        return streett_good_components(
-            states, self.aut.successors, self.aut.acceptance.pairs
-        )
-
-
 def is_safety(aut: DetAutomaton) -> bool:
     """Is the property topologically closed (= a safety property)?"""
     return is_safety_closed(aut)
 
+
 def is_guarantee(aut: DetAutomaton) -> bool:
     """Is the property open — equivalently, is its complement safety?"""
-    return is_safety_closed(aut.complement())
+    return closed_on(aut.reachable & nonempty_states(aut.complement()), aut)
 
 
 def _streett_violations_of_recurrence(aut: DetAutomaton) -> bool:
     """Is there an accepting cycle inside a rejecting super-cycle? (Streett kind)"""
-    pairs = aut.acceptance.pairs
-    reachable = aut.reachable
-    backend = _WagnerBackend.of(aut)
-    for pair in pairs:
-        arena = reachable - pair.left
-        for scc in backend.sccs(arena):
-            scc_set = frozenset(scc)
-            internal = lambda s, inside=scc_set: [t for t in aut.successors(s) if t in inside]
-            if not is_nontrivial_component(scc, internal):
-                continue
-            if scc_set <= pair.right:
-                continue  # the super-cycle would still be accepting on this pair
-            if backend.good_components(scc_set):
+    backend = CycleBackend.of(aut)
+    for pair in aut.acceptance.pairs:
+        for cycle in backend.cycles(aut.reachable - pair.left):
+            # Inside P the super-cycle would still be accepting on this pair.
+            if not cycle <= pair.right and backend.good_components(cycle):
                 return True
     return False
 
 
 def _streett_violations_of_persistence(aut: DetAutomaton) -> bool:
     """Is there a rejecting cycle inside an accepting super-cycle? (Streett kind)"""
-    pairs = aut.acceptance.pairs
-    backend = _WagnerBackend.of(aut)
-    for component in backend.good_components(aut.reachable):
-        for pair in pairs:
-            arena = component - pair.left
-            for scc in backend.sccs(arena):
-                scc_set = frozenset(scc)
-                internal = lambda s, inside=scc_set: [t for t in aut.successors(s) if t in inside]
-                if is_nontrivial_component(scc, internal) and not scc_set <= pair.right:
-                    return True
-    return False
+    backend = CycleBackend.of(aut)
+    return any(
+        not cycle <= pair.right
+        for component in backend.good_components(aut.reachable)
+        for pair in aut.acceptance.pairs
+        for cycle in backend.cycles(component - pair.left)
+    )
 
 
 def is_recurrence(aut: DetAutomaton) -> bool:
@@ -182,20 +101,26 @@ def is_obligation(aut: DetAutomaton) -> bool:
 
 
 def classify(aut: DetAutomaton) -> Verdict:
-    """Full membership profile of the property across the hierarchy."""
-    safety = is_safety(aut)
-    guarantee = is_guarantee(aut)
+    """Full membership profile of the property across the hierarchy.
+
+    One live-set pass for the automaton and one for its complement serve
+    safety, guarantee and liveness together.
+    """
+    complement = aut.complement()
+    reachable = aut.reachable
+    live = nonempty_states(aut)
+    colive = nonempty_states(complement)
     recurrence = is_recurrence(aut)
     persistence = is_persistence(aut)
     membership = {
-        TemporalClass.SAFETY: safety,
-        TemporalClass.GUARANTEE: guarantee,
+        TemporalClass.SAFETY: closed_on(reachable & live, complement),
+        TemporalClass.GUARANTEE: closed_on(reachable & colive, aut),
         TemporalClass.OBLIGATION: recurrence and persistence,
         TemporalClass.RECURRENCE: recurrence,
         TemporalClass.PERSISTENCE: persistence,
         TemporalClass.REACTIVITY: True,
     }
-    return Verdict(membership=membership, is_liveness=is_liveness(aut))
+    return Verdict(membership=membership, is_liveness=reachable <= live)
 
 
 # ---------------------------------------------------------------------------
@@ -208,28 +133,26 @@ def _chain_lengths(aut: DetAutomaton) -> tuple[int, int]:
     over all reachable arenas of a Streett-kind automaton.  Chains are
     strictly decreasing and alternate acceptance."""
     pairs = aut.acceptance.pairs
-    successors = aut.successors
-    backend = _WagnerBackend.of(aut)
+    backend = CycleBackend.of(aut)
 
     @lru_cache(maxsize=None)
     def top_accepting(arena: frozenset[int]) -> int:
-        best = 0
-        for component in backend.good_components(arena):
-            best = max(best, 1 + top_rejecting(component))
-        return best
+        return max(
+            (1 + top_rejecting(component) for component in backend.good_components(arena)),
+            default=0,
+        )
 
     @lru_cache(maxsize=None)
     def top_rejecting(arena: frozenset[int]) -> int:
-        best = 0
-        for pair in pairs:
-            shrunk = arena - pair.left
-            for scc in backend.sccs(shrunk):
-                scc_set = frozenset(scc)
-                internal = lambda s, inside=scc_set: [t for t in successors(s) if t in inside]
-                if not is_nontrivial_component(scc, internal) or scc_set <= pair.right:
-                    continue
-                best = max(best, 1 + top_accepting(scc_set))
-        return best
+        return max(
+            (
+                1 + top_accepting(cycle)
+                for pair in pairs
+                for cycle in backend.cycles(arena - pair.left)
+                if not cycle <= pair.right
+            ),
+            default=0,
+        )
 
     reachable = aut.reachable
     return top_accepting(reachable), top_rejecting(reachable)
@@ -283,19 +206,24 @@ def rabin_index(aut: DetAutomaton) -> int:
 # ---------------------------------------------------------------------------
 
 
-def obligation_degree(aut: DetAutomaton) -> int | None:
+def obligation_degree(aut: DetAutomaton, verdict: Verdict | None = None) -> int | None:
     """The minimal ``k`` with the property in ``Obl_k``, or ``None`` when the
     property is not an obligation property at all.
 
     For an obligation property every non-trivial SCC is uniformly accepting
     or rejecting, so the degree is the maximal number of
     rejecting→accepting alternations along a path of the SCC DAG
-    (Wagner's chains collapse to DAG paths here).
+    (Wagner's chains collapse to DAG paths here).  A caller that already
+    holds ``classify(aut)`` passes it as ``verdict`` so the obligation test
+    is not decided a second time.
     """
-    if not is_obligation(aut):
+    obligation = (
+        is_obligation(aut) if verdict is None else verdict.membership[TemporalClass.OBLIGATION]
+    )
+    if not obligation:
         return None
     reachable = sorted(aut.reachable)
-    sccs = _WagnerBackend.of(aut).sccs(reachable)
+    sccs = CycleBackend.of(aut).sccs(reachable)
     label: dict[int, str] = {}
     component_of: dict[int, int] = {}
     component_sets: list[frozenset[int]] = []
@@ -411,7 +339,7 @@ def is_obligation_shaped(aut: DetAutomaton, degree: int | None = None) -> bool:
         return False
     good, _ = _good_bad_split(aut)
     reachable = sorted(aut.reachable)
-    sccs = _WagnerBackend.of(aut).sccs(reachable)
+    sccs = CycleBackend.of(aut).sccs(reachable)
     component_of: dict[int, int] = {}
     mixed = False
     for index, scc in enumerate(sccs):

@@ -5,6 +5,8 @@ closed under successors, which makes the paper's operators one-liners:
 
 * ``Pref(Π)``            — finite words whose run ends in a live state;
 * ``cl(Π) = A(Pref(Π))`` — same core, accept iff the run never goes dead;
+* safety (``Π = cl(Π)``) — no reachable cycle of live states is rejected,
+  a question about the automaton's own graph (no product automaton);
 * liveness (= density)   — every reachable state is live;
 * ``L(Π) = Π ∪ E(¬Pref(Π))`` — same core, acceptance extended so that any
   run falling into the dead region is accepted.
@@ -19,7 +21,7 @@ from repro.errors import ClassificationError
 from repro.finitary.language import FinitaryLanguage
 from repro.omega.acceptance import Acceptance, Kind, Pair
 from repro.omega.automaton import DetAutomaton
-from repro.omega.emptiness import nonempty_states, streett_good_components
+from repro.omega.emptiness import CycleBackend, nonempty_states, streett_good_components
 from repro.omega.graph import can_reach
 from repro.words.alphabet import Symbol
 
@@ -44,9 +46,27 @@ def safety_closure(aut: DetAutomaton) -> DetAutomaton:
     return aut.with_acceptance(Acceptance.cobuchi(live))
 
 
+def closed_on(region: frozenset[int], dual: DetAutomaton) -> bool:
+    """``cl(Π) ⊆ Π`` on the automaton's own graph.
+
+    ``region`` is ``reachable ∩ live`` of an automaton for Π and ``dual``
+    is its same-core complement, whose accepted cycles are exactly the
+    cycles the automaton rejects.  A run of ``cl(Π)`` never leaves the live
+    states (the dead ones are successor-closed), so its infinity set is a
+    cycle inside ``region``; conversely every cycle inside ``region`` is
+    the infinity set of such a run, because every state on the way to it
+    can reach it and is therefore live.  So ``cl(Π) ⊆ Π`` iff ``dual``
+    accepts no cycle inside ``region``.
+    """
+    return not CycleBackend.of(dual).accepts_cycle_within(region)
+
+
 def is_safety_closed(aut: DetAutomaton) -> bool:
-    """``Π = cl(Π)`` — the paper's characterization of the safety class."""
-    return aut.equivalent_to(safety_closure(aut))
+    """``Π = cl(Π)`` — the paper's characterization of the safety class.
+
+    ``Π ⊆ cl(Π)`` holds by construction, so only :func:`closed_on` is asked.
+    """
+    return closed_on(aut.reachable & live_states(aut), aut.complement())
 
 
 def is_liveness(aut: DetAutomaton) -> bool:

@@ -79,6 +79,108 @@ def rabin_accepting_cycle_states(
     return frozenset(result)
 
 
+class CycleBackend:
+    """SCC / good-component service for one automaton's analysis pass.
+
+    The classification checks decompose many sub-arenas of the same graph;
+    the dense route (selected once per pass) reuses one Tarjan scratch over
+    the flat transition table and computes good components through the mask
+    kernels in :mod:`repro.fastpath.scc`.  Component *sets* are identical
+    either way — only the enumeration order may differ, and every caller is
+    order-independent (existence checks, maxima, DAG relabelings).
+    """
+
+    __slots__ = ("aut", "dense", "_scc", "_scratch", "_pair_masks")
+
+    @classmethod
+    def of(cls, aut: DetAutomaton) -> "CycleBackend":
+        """The backend for ``aut`` on the currently selected route.
+
+        Memoized on the automaton (keyed by the route decision, so a
+        ``forced``-mode differential run never reuses the other route's
+        backend): one analysis pass asks for the same graph many times.
+        """
+        from repro.fastpath.config import dense_route
+
+        dense = dense_route(aut.num_states * len(aut.alphabet))
+        cache = aut.__dict__.setdefault("_wagner_backends", {})
+        backend = cache.get(dense)
+        if backend is None:
+            backend = cls(aut, dense)
+            cache[dense] = backend
+        return backend
+
+    def __init__(self, aut: DetAutomaton, dense: bool) -> None:
+        self.aut = aut
+        self.dense = dense
+        if self.dense:
+            from repro.fastpath import scc as _scc
+
+            n = aut.num_states
+            self._scc = _scc
+            self._scratch = _scc._TarjanScratch(n, aut._delta)  # noqa: SLF001
+            self._pair_masks = [
+                (_scc.pack_mask(p.left, n), _scc.pack_mask(p.right, n))
+                for p in aut.acceptance.pairs
+            ]
+
+    def sccs(self, states) -> list[list[int]]:
+        """Restricted SCC member lists of the subgraph induced by ``states``."""
+        if self.dense:
+            return self._scratch.sccs(sorted(states))
+        return restricted_sccs(states, self.aut.successors)
+
+    def cycles(self, states) -> list[frozenset[int]]:
+        """The SCCs of the induced subgraph that carry a cycle (size ≥ 2,
+        or a self-loop)."""
+        if self.dense:
+            return [
+                frozenset(scc)
+                for scc in self._scratch.sccs(sorted(states), nontrivial_only=True)
+            ]
+        successors = self.aut.successors
+        return [
+            frozenset(scc)
+            for scc in restricted_sccs(states, successors)
+            if len(scc) > 1 or scc[0] in successors(scc[0])
+        ]
+
+    def good_components(self, states) -> list[frozenset[int]]:
+        """Maximal accepting sub-SCCs of the induced subgraph (Streett)."""
+        if self.dense:
+            n = self.aut.num_states
+            scc = self._scc
+            return [
+                frozenset(scc.unpack_positions(mask))
+                for mask in scc.streett_good_masks(
+                    n,
+                    scc.pack_mask(states, n),
+                    self.aut._delta,  # noqa: SLF001
+                    self._pair_masks,
+                    scratch=self._scratch,
+                )
+            ]
+        return streett_good_components(
+            states, self.aut.successors, self.aut.acceptance.pairs
+        )
+
+    def accepts_cycle_within(self, states: frozenset[int]) -> bool:
+        """Does some cycle inside ``states`` have an accepted infinity set?
+
+        Streett: a good component exists.  Rabin: for some pair ``(E, F)``
+        a cyclic SCC of ``states − F`` meets ``E`` (the SCC itself is then
+        an accepted cycle, and any accepted cycle lies inside one).
+        """
+        acceptance = self.aut.acceptance
+        if acceptance.kind is Kind.STREETT:
+            return bool(self.good_components(states))
+        return any(
+            cycle & pair.left
+            for pair in acceptance.pairs
+            for cycle in self.cycles(states - pair.right)
+        )
+
+
 def accepting_cycle_states(aut: DetAutomaton) -> frozenset[int]:
     """All states lying on some accepting cycle (reachability not required)."""
     if aut.acceptance.kind is Kind.STREETT:

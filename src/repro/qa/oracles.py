@@ -12,8 +12,9 @@ The four oracles mirror the paper's four coinciding views:
   profiles, the topological closure predicates, and the
   ``A(Φ)ᶜ = E(Φᶜ)`` / ``R(Φ)ᶜ = P(Φᶜ)`` dualities;
 * ``automaton``       — complement membership, classification duality,
-  Wagner index duality and the HOA round-trip on random Streett/Rabin
-  automata.
+  Wagner index duality, the HOA round-trip and the safety-closure spec
+  (safety, guarantee and liveness by their language-equivalence
+  definitions) on random Streett/Rabin automata.
 
 Two more cover the execution engines rather than the views: ``fastpath``
 (dense kernels vs. the audited reference routes) and ``fleet`` (the
@@ -42,7 +43,7 @@ from repro.logic.classes import normal_form_class, syntactic_classes
 from repro.logic.parser import parse_formula
 from repro.logic.semantics import satisfies
 from repro.omega.classify import classify, rabin_index, streett_index
-from repro.omega.closure import is_liveness, is_safety_closed
+from repro.omega.closure import is_liveness, is_safety_closed, safety_closure
 from repro.omega.hoa import from_hoa, to_hoa
 from repro.omega.linguistic import a_of, e_of, p_of, r_of
 from repro.qa.generate import (
@@ -369,6 +370,29 @@ class LinguisticOracle(Oracle):
 # ---------------------------------------------------------------------------
 
 
+def closure_spec(automaton) -> dict[str, bool]:
+    """Safety, guarantee and liveness by their definitions (§2): safety as
+    ``Π = cl(Π)`` by language equivalence with the safety-closure
+    automaton, guarantee as the same on the complement, liveness as every
+    reachable state being live.  The executable spec that
+    :func:`repro.omega.classify.classify`'s graph checks must match."""
+    complement = automaton.complement()
+    return {
+        "safety": automaton.equivalent_to(safety_closure(automaton)),
+        "guarantee": complement.equivalent_to(safety_closure(complement)),
+        "liveness": is_liveness(automaton),
+    }
+
+
+def verdict_profile(verdict) -> dict[str, bool]:
+    """The three predicates :func:`closure_spec` defines, read off a verdict."""
+    return {
+        "safety": verdict.membership[TemporalClass.SAFETY],
+        "guarantee": verdict.membership[TemporalClass.GUARANTEE],
+        "liveness": verdict.is_liveness,
+    }
+
+
 class AutomatonOracle(Oracle):
     name = "automaton"
     routes = (
@@ -376,6 +400,7 @@ class AutomatonOracle(Oracle):
         "classification duality",
         "Wagner index duality",
         "HOA round-trip",
+        "safety closure by equivalence",
     )
 
     def generate(self, rng: random.Random, config: GeneratorConfig):
@@ -416,6 +441,14 @@ class AutomatonOracle(Oracle):
                 return f"HOA round-trip changed the verdict on {lasso!r}"
         if classify(restored).canonical != verdict.canonical:
             return "HOA round-trip changed the canonical class"
+        expected = closure_spec(automaton)
+        decided = verdict_profile(verdict)
+        for predicate, value in expected.items():
+            if decided[predicate] != value:
+                return (
+                    f"classify says {predicate}={decided[predicate]}"
+                    f" but the safety-closure spec says {value}"
+                )
         return None
 
     def shrink(self, subject):

@@ -17,7 +17,7 @@ reactivity boolean comb. of G_δ always (ω-regular ⊆ Δ₃)
 from __future__ import annotations
 
 from repro.omega.automaton import DetAutomaton
-from repro.omega.classify import is_persistence, is_recurrence
+from repro.omega.classify import is_guarantee, is_persistence, is_recurrence
 from repro.omega.closure import is_liveness, is_safety_closed, safety_closure
 from repro.words.alphabet import Symbol
 
@@ -50,7 +50,7 @@ def is_closed(aut: DetAutomaton) -> bool:
 
 
 def is_open(aut: DetAutomaton) -> bool:
-    return is_safety_closed(aut.complement())
+    return is_guarantee(aut)
 
 
 def is_g_delta(aut: DetAutomaton) -> bool:

@@ -103,3 +103,20 @@ def test_census_measure_runs_gpvw_and_safra_once(monkeypatch, cleared_caches):
     fields = _measure("p U (q U r)")
     assert counts == {"formula_to_nba": 1, "determinize": 1}
     assert fields["quotient_states"] == fields["automaton_states"]
+
+
+@pytest.mark.parametrize("text", ["G F p -> G F q", "G p", "p U q", "F p & G q"])
+def test_classify_runs_two_live_set_passes_and_no_product_check(text):
+    """Safety, guarantee and liveness come from one live-set pass for the
+    automaton and one for its complement, decided on the automaton's own
+    graph: no product-automaton emptiness check."""
+    from repro.core.classifier import classify_formula
+    from repro.engine.metrics import METRICS, snapshot_delta
+
+    before = METRICS.snapshot()
+    classify_formula(parse_formula(text))
+    timers = snapshot_delta(before, METRICS.snapshot())["timers"]
+    counts = {name: timers.get(name, {}).get("count", 0) for name in (
+        "emptiness.nonempty_states", "emptiness.product_check"
+    )}
+    assert counts == {"emptiness.nonempty_states": 2, "emptiness.product_check": 0}

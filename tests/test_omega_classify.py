@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.classes import TemporalClass
+from repro.fastpath.config import forced
 from repro.finitary import FinitaryLanguage
 from repro.omega import Acceptance, DetAutomaton, a_of, e_of, p_of, r_of
 from repro.omega.classify import (
@@ -26,6 +27,7 @@ from repro.omega.classify import (
     rabin_index,
     streett_index,
 )
+from repro.qa.oracles import closure_spec, verdict_profile
 from repro.words import Alphabet
 
 from tests.test_omega_emptiness import random_automaton
@@ -308,3 +310,73 @@ def test_safety_check_matches_closure_on_random_automata(seed):
 
     automaton = random_automaton(random.Random(seed))
     assert is_safety(automaton) == automaton.equivalent_to(safety_closure(automaton))
+
+
+# ---------------------------------------------------------------------------
+# Safety, guarantee and liveness on the automaton's own graph: edge cases,
+# each checked against the language-equivalence spec on both kernel routes.
+# ---------------------------------------------------------------------------
+
+
+def _dead_region_rejecting_cycle() -> DetAutomaton:
+    """``a^ω``: a ``b`` drops into the dead two-cycle {1, 2}, which is
+    rejecting but must not count against safety."""
+    return DetAutomaton(AB, [[0, 1], [2, 2], [1, 1]], 0, Acceptance.buchi([0]))
+
+
+def _unreachable_live_rejecting_cycle() -> DetAutomaton:
+    """Universal from state 0; the unreachable state 1 is live (``b`` leads
+    to 0) and carries a rejecting ``a`` self-loop that must not count."""
+    return DetAutomaton(AB, [[0, 0], [1, 0]], 0, Acceptance.buchi([0]))
+
+
+def _two_pair_rabin() -> DetAutomaton:
+    """``◇□a ∨ ◇□b`` with the state remembering the last letter and the
+    pairs ``({0},{1})``, ``({1},{0})``: each one-state cycle is accepted by
+    one pair, and the cycle {0, 1} is rejected by both — a rejecting cycle
+    that shows only under the dual (Streett) pairs taken together."""
+    return DetAutomaton(
+        AB, [[0, 1], [0, 1]], 0, Acceptance.rabin([([0], [1]), ([1], [0])])
+    )
+
+
+_EDGE_CASES = {
+    # The initial state is dead: the empty set is clopen.
+    "empty language": (
+        lambda: DetAutomaton.empty_language(AB),
+        {"safety": True, "guarantee": True, "liveness": False},
+    ),
+    "universal language": (
+        lambda: DetAutomaton.universal(AB),
+        {"safety": True, "guarantee": True, "liveness": True},
+    ),
+    # □◇b: live everywhere, and the a-loop is a rejecting live cycle.
+    "recurrence □◇b": (
+        lambda: r_of(lang(".*b")),
+        {"safety": False, "guarantee": False, "liveness": True},
+    ),
+    "rejecting cycle only in the dead region": (
+        _dead_region_rejecting_cycle,
+        {"safety": True, "guarantee": False, "liveness": False},
+    ),
+    "unreachable live rejecting cycle": (
+        _unreachable_live_rejecting_cycle,
+        {"safety": True, "guarantee": True, "liveness": True},
+    ),
+    "two-pair Rabin": (
+        _two_pair_rabin,
+        {"safety": False, "guarantee": False, "liveness": True},
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["off", "on"])
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+def test_closure_predicates_edge_cases_match_equivalence_spec(case, mode):
+    build, expected = _EDGE_CASES[case]
+    automaton = build()
+    assert closure_spec(automaton) == expected
+    with forced(mode):
+        assert verdict_profile(classify(automaton)) == expected
+        assert is_safety(automaton) == expected["safety"]
+        assert is_guarantee(automaton) == expected["guarantee"]
