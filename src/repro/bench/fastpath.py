@@ -125,14 +125,17 @@ def _nonempty_workload(quick: bool) -> _Workload:
 
 
 def _classify_workload(quick: bool) -> _Workload:
-    from repro.core.classifier import classify_formula
+    from repro.core.classifier import formula_report
     from repro.logic.parser import parse_formula
+    from repro.omega.safra import formula_to_dra
     from repro.words.alphabet import Alphabet
 
     # End-to-end pipeline: GPVW tableau → Safra → quotient → Wagner
     # classification.  Powerset alphabets with an unused proposition are the
     # representative shape: label compression halves the stepped symbols,
-    # and every stage crosses its auto threshold.
+    # and every stage crosses its auto threshold.  The general pipeline is
+    # called directly: ``classify_formula`` would rewrite the first formula
+    # into a normal form and skip every kernel this workload times.
     texts = ["G (a -> F b) & (G F b -> G F a)"]
     if not quick:
         texts.append("(F a & F b) | G (a -> X b)")
@@ -140,7 +143,10 @@ def _classify_workload(quick: bool) -> _Workload:
     formulas = [parse_formula(text) for text in texts]
 
     def run():
-        return [classify_formula(formula, alphabet) for formula in formulas]
+        return [
+            formula_report(formula, alphabet, formula_to_dra(formula, alphabet))
+            for formula in formulas
+        ]
 
     def view(report):
         return (

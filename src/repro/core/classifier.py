@@ -9,6 +9,10 @@ picks.  The paper's own constructions come first:
   determinization needed, and the result is counter-free by construction;
 * conjunctions of simple obligation / simple reactivity formulae become
   multi-pair Streett automata on products of testers;
+* a formula in neither shape is first rewritten by
+  :func:`repro.logic.rewrite.normalize` (negation pushed through ``□``/``◇``,
+  §4's response and precedence laws); when the rewritten formula has one of
+  the shapes above, it is compiled on that route instead;
 * everything else takes the general pipeline: GPVW tableau → NBA → Safra →
   deterministic Rabin.
 
@@ -36,6 +40,7 @@ from repro.logic.classes import (
     is_simple_obligation_formula,
     is_simple_reactivity_formula,
 )
+from repro.logic.rewrite import normalize
 from repro.logic.semantics import esat_language
 from repro.omega.acceptance import Acceptance, Kind, Pair
 from repro.omega.automaton import DetAutomaton
@@ -203,10 +208,9 @@ def _general(formula: Formula, alphabet: Alphabet) -> DetAutomaton:
     return formula_to_dra(formula, alphabet)
 
 
-def formula_route(formula: Formula) -> Route:
-    """Evaluate the dispatch predicates once and say which construction
-    compiles ``formula``: the paper's own where a syntactic shape allows it,
-    the general GPVW → Safra pipeline otherwise."""
+def _normal_form_route(formula: Formula) -> Route | None:
+    """The paper's own construction for ``formula`` when its syntactic shape
+    allows one, else ``None``."""
     # Fast paths: the paper's normal forms via Prop 5.3 testers.
     if is_safety_formula(formula):
         return _tester("safety normal form □p → A(esat(p))", a_of, formula.operand)
@@ -235,6 +239,28 @@ def formula_route(formula: Formula) -> Route:
             f"{len(conjuncts)} simple obligation conjunct(s) → sticky-bit co-Büchi"
             " products",
             lambda alphabet: _product(_simple_obligation_pair, conjuncts, alphabet),
+        )
+    return None
+
+
+def formula_route(formula: Formula) -> Route:
+    """Evaluate the dispatch predicates once and say which construction
+    compiles ``formula``: the paper's own where a syntactic shape allows it,
+    directly or after :func:`~repro.logic.rewrite.normalize` rewrites the
+    formula into such a shape, the general GPVW → Safra pipeline otherwise.
+
+    A rewritten formula's route builds the automaton of the rewritten,
+    equivalent formula; its detail names the laws and the rewritten formula.
+    """
+    route = _normal_form_route(formula)
+    if route is not None:
+        return route
+    laws: list[str] = []
+    normal = normalize(formula, laws)
+    route = _normal_form_route(normal) if laws else None
+    if route is not None:
+        return Route(
+            route.id, f"{'; '.join(laws)} rewrote it to {normal!r}; {route.detail}", route.build
         )
     return Route(
         ROUTE_SAFRA,

@@ -167,3 +167,135 @@ def simplify(formula: Formula) -> Formula:
             return TRUE
         return type(formula)(left, right)
     raise TypeError(f"unknown formula node {type(formula).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# Rewriting toward §4's normal forms
+# ---------------------------------------------------------------------------
+
+#: The laws :func:`normalize` applies, by the name it reports for each.
+LAW_NEGATION = "negation law ¬□◇p ≡ ◇□¬p, ¬◇□p ≡ □◇¬p, ¬□p ≡ ◇¬p, ¬◇p ≡ □¬p"
+LAW_RESPONSE = "response law □(A ∨ ◇b) ≡ □◇¬(¬b S (¬A ∧ ¬b))"
+LAW_RESPONSE_OR_GLOBAL = (
+    "response-or-global law □(A ∨ ◇b ∨ □c) ≡ □◇¬(¬b S (¬b ∧ ¬c ∧ (¬b S (¬A ∧ ¬b))))"
+)
+LAW_PRECEDENCE = "precedence law □(A ∨ x W y) ≡ □¬(¬x ∧ ¬y ∧ (¬y S (¬A ∧ ¬y)))"
+
+
+def normalize(formula: Formula, applied: list[str] | None = None) -> Formula:
+    """Rewrite ``formula`` toward §4's normal forms, whose bodies are past.
+
+    Through the top-level ``∧``/``∨`` structure, negation is pushed through
+    ``□◇``, ``◇□``, ``□`` and ``◇``, and three laws turn ``□`` of a
+    disjunction of past formulas ``A``, ``◇b``, ``□c`` and ``x W y`` into a
+    normal form: response ``□(A ∨ ◇b)`` and response-or-global
+    ``□(A ∨ ◇b ∨ □c)`` become recurrence formulas, precedence
+    ``□(A ∨ x W y)`` becomes a safety formula (proofs in docs/THEORY.md).
+    Below the top-level structure nothing changes.  Every law used is named
+    once in ``applied`` when it is given; when none applies, ``formula``
+    itself is returned.
+    """
+    laws: list[str] = []
+    normal = _normal(formula, False, laws)
+    if applied is not None:
+        applied.extend(law for law in laws if law not in applied)
+    return normal if laws else formula
+
+
+def _normal(formula: Formula, negated: bool, applied: list[str]) -> Formula:
+    if isinstance(formula, Not):
+        return _normal(formula.operand, not negated, applied)
+    if isinstance(formula, (And, Or)):
+        node = Or if isinstance(formula, And) == negated else And
+        parts: list[Formula] = []
+        for operand in formula.operands:
+            part = _normal(operand, negated, applied)
+            parts.extend(part.operands if isinstance(part, node) else (part,))
+        return node(tuple(parts))
+    if isinstance(formula, Always):
+        formula = _always_law(formula, applied)
+    if not negated:
+        return formula
+    dual = _negated_dual(formula)
+    if dual is None:
+        return Not(formula)
+    _note(applied, LAW_NEGATION)
+    return dual
+
+
+def _note(applied: list[str], law: str) -> None:
+    if law not in applied:
+        applied.append(law)
+
+
+def _negated_dual(formula: Formula) -> Formula | None:
+    """``¬formula`` with the negation moved inside its ``□``/``◇`` prefix."""
+    if isinstance(formula, Always):
+        inner = formula.operand
+        if isinstance(inner, Eventually):
+            return Eventually(Always(negate(inner.operand)))
+        return Eventually(negate(inner))
+    if isinstance(formula, Eventually):
+        inner = formula.operand
+        if isinstance(inner, Always):
+            return Always(Eventually(negate(inner.operand)))
+        return Always(negate(inner))
+    return None
+
+
+def _conjoin(parts: list[Formula]) -> Formula:
+    return parts[0] if len(parts) == 1 else And(tuple(parts))
+
+
+def _disjoin(parts: list[Formula]) -> Formula:
+    return parts[0] if len(parts) == 1 else Or(tuple(parts))
+
+
+def _disjuncts(formula: Formula) -> list[Formula]:
+    if not isinstance(formula, Or):
+        return [formula]
+    return [part for operand in formula.operands for part in _disjuncts(operand)]
+
+
+def _always_law(formula: Always, applied: list[str]) -> Formula:
+    """The response, response-or-global or precedence law on ``□body``,
+    or ``formula`` itself when its body has none of their shapes."""
+    body = formula.operand
+    if body.is_past_formula() or (
+        isinstance(body, Eventually) and body.operand.is_past_formula()
+    ):
+        return formula  # already the safety or recurrence normal form
+    past: list[Formula] = []
+    eventual: list[Formula] = []
+    globally: list[Formula] = []
+    weak: list[Unless] = []
+    for disjunct in _disjuncts(body):
+        if disjunct.is_past_formula():
+            past.append(disjunct)
+        elif isinstance(disjunct, (Eventually, Always)) and disjunct.operand.is_past_formula():
+            (eventual if isinstance(disjunct, Eventually) else globally).append(disjunct.operand)
+        elif (
+            isinstance(disjunct, Unless)
+            and disjunct.left.is_past_formula()
+            and disjunct.right.is_past_formula()
+        ):
+            weak.append(disjunct)
+        else:
+            return formula
+    not_a = [negate(part) for part in past]
+    if eventual and not weak and len(globally) <= 1:
+        # ◇b₁ ∨ ◇b₂ ≡ ◇(b₁ ∨ b₂) at every position.
+        not_b = negate(_disjoin(eventual))
+        pending = Since(not_b, _conjoin(not_a + [not_b]))
+        if globally:
+            _note(applied, LAW_RESPONSE_OR_GLOBAL)
+            pending = Since(not_b, And((not_b, negate(globally[0]), pending)))
+        else:
+            _note(applied, LAW_RESPONSE)
+        return Always(Eventually(negate(pending)))
+    if len(weak) == 1 and not eventual and not globally:
+        _note(applied, LAW_PRECEDENCE)
+        not_y = negate(weak[0].right)
+        violated = And((negate(weak[0].left), not_y, Since(not_y, _conjoin(not_a + [not_y]))))
+        return Always(negate(violated))
+    return formula

@@ -77,6 +77,12 @@ class PastTester:
     ``advance(state, symbol)`` returns the successor tester state; ``values``
     of a state give the truth of every pure-past subformula at the current
     position.  ``START`` is the state before any input.
+
+    The subformulas are numbered once, children before parents, so a step
+    evaluates a flat plan over value slots: no formula node is hashed while
+    the tester runs.  :meth:`step` returns the values by slot (the formula
+    itself, when it is pure past, has the last slot); :meth:`advance` keys
+    them by node.
     """
 
     START = None
@@ -84,59 +90,88 @@ class PastTester:
     def __init__(self, formula: Formula) -> None:
         self.formula = formula
         subformulas = formula.subformulas()
-        self.pure_past: list[Formula] = [n for n in subformulas if n.is_past_formula()]
-        self.memory_nodes: list[Formula] = [
-            n for n in self.pure_past if isinstance(n, _PAST_OPERATORS)
-        ]
-        for node in subformulas:
-            if isinstance(node, _PAST_OPERATORS) and not node.is_past_formula():
+        past: dict[Formula, bool] = {}
+        for node in subformulas:  # children before parents
+            past[node] = not isinstance(node, _FUTURE_OPERATORS) and all(
+                past[child] for child in node.children()
+            )
+            if isinstance(node, _PAST_OPERATORS) and not past[node]:
                 raise UnsupportedFragmentError(
                     f"future operator nested inside past operator in {node!r}"
                 )
+        self.pure_past: list[Formula] = [n for n in subformulas if past[n]]
+        self.memory_nodes: list[Formula] = [
+            n for n in self.pure_past if isinstance(n, _PAST_OPERATORS)
+        ]
+        slot = {node: i for i, node in enumerate(self.pure_past)}
+        memory_slot = {node: j for j, node in enumerate(self.memory_nodes)}
+        self._plan = [
+            (type(node), _operand_slots(node, slot), memory_slot.get(node))
+            for node in self.pure_past
+        ]
+        # Memory for the next position: for Y/Z the operand's value now, for
+        # S/O/H the operator's own value now.
+        self._memory_sources = [
+            slot[n.operand] if isinstance(n, (Previous, WeakPrevious)) else slot[n]
+            for n in self.memory_nodes
+        ]
+
+    def step(
+        self, state: tuple[bool, ...] | None, symbol: Symbol
+    ) -> tuple[tuple[bool, ...], list[bool]]:
+        """One step: previous memory (or ``START``) plus the current state
+        symbol give the new memory and all pure-past values here, by slot."""
+        at_start = state is None
+        values: list[bool] = []
+        for kind, operands, memory in self._plan:
+            if kind is Prop:
+                value = prop_holds(operands, symbol)
+            elif kind is TrueConst:
+                value = True
+            elif kind is FalseConst:
+                value = False
+            elif kind is Not:
+                value = not values[operands]
+            elif kind is And:
+                value = all(values[op] for op in operands)
+            elif kind is Or:
+                value = any(values[op] for op in operands)
+            elif kind is Previous:
+                value = (not at_start) and state[memory]
+            elif kind is WeakPrevious:
+                value = at_start or state[memory]
+            elif kind is Since:
+                held = False if at_start else state[memory]
+                value = values[operands[1]] or (values[operands[0]] and held)
+            elif kind is Once:
+                value = values[operands] or (not at_start and state[memory])
+            elif kind is Historically:
+                value = values[operands] and (at_start or state[memory])
+            else:  # a future node inside pure_past is impossible by selection
+                raise AssertionError(f"unexpected node kind in past closure: {kind}")
+            values.append(value)
+        return tuple(values[source] for source in self._memory_sources), values
 
     def advance(
         self, state: tuple[bool, ...] | None, symbol: Symbol
     ) -> tuple[tuple[bool, ...], dict[Formula, bool]]:
-        """One step: previous memory (or ``START``) plus the current state
-        symbol give the new memory and all pure-past values here."""
-        at_start = state is None
-        previous = dict(zip(self.memory_nodes, state)) if state is not None else {}
-        values: dict[Formula, bool] = {}
-        for node in self.pure_past:
-            if isinstance(node, Prop):
-                values[node] = prop_holds(node.name, symbol)
-            elif isinstance(node, TrueConst):
-                values[node] = True
-            elif isinstance(node, FalseConst):
-                values[node] = False
-            elif isinstance(node, Not):
-                values[node] = not values[node.operand]
-            elif isinstance(node, And):
-                values[node] = all(values[op] for op in node.operands)
-            elif isinstance(node, Or):
-                values[node] = any(values[op] for op in node.operands)
-            elif isinstance(node, Previous):
-                values[node] = (not at_start) and previous[node]
-            elif isinstance(node, WeakPrevious):
-                values[node] = at_start or previous[node]
-            elif isinstance(node, Since):
-                held = False if at_start else previous[node]
-                values[node] = values[node.right] or (values[node.left] and held)
-            elif isinstance(node, Once):
-                held = False if at_start else previous[node]
-                values[node] = values[node.operand] or held
-            elif isinstance(node, Historically):
-                held = True if at_start else previous[node]
-                values[node] = values[node.operand] and held
-            else:  # a future node inside pure_past is impossible by selection
-                raise AssertionError(f"unexpected node in past closure: {node!r}")
-        # Memory for the next position: for Y/Z the operand's value now, for
-        # S/O/H the operator's own value now.
-        memory = tuple(
-            values[n.operand] if isinstance(n, (Previous, WeakPrevious)) else values[n]
-            for n in self.memory_nodes
-        )
-        return memory, values
+        """:meth:`step` with the values keyed by their subformula."""
+        memory, values = self.step(state, symbol)
+        return memory, dict(zip(self.pure_past, values))
+
+
+def _operand_slots(node: Formula, slot: dict[Formula, int]):
+    """A plan entry's operands: the proposition's name, one slot, or a
+    tuple of slots (``And``/``Or`` operands, ``Since``'s left and right)."""
+    if isinstance(node, Prop):
+        return node.name
+    if isinstance(node, (And, Or)):
+        return tuple(slot[op] for op in node.operands)
+    if isinstance(node, Since):
+        return slot[node.left], slot[node.right]
+    if isinstance(node, (Not, Previous, WeakPrevious, Once, Historically)):
+        return slot[node.operand]
+    return None
 
 
 def _stabilized_past_values(
@@ -302,8 +337,8 @@ def esat_language(formula: Formula, alphabet: Alphabet) -> FinitaryLanguage:
 
     def successor(state, symbol):
         memory = None if state == "start" else state[0]
-        new_memory, values = tester.advance(memory, symbol)
-        return (new_memory, values[formula])
+        new_memory, values = tester.step(memory, symbol)
+        return (new_memory, values[-1])
 
     def accepting(state) -> bool:
         return state != "start" and state[1]

@@ -7,7 +7,9 @@ A classification verdict compresses a lot of structure into one word
   automaton: the Prop 5.3 linguistic testers for κ-normal-form input, the
   single-pair Streett / co-Büchi products for simple reactivity and
   obligation conjunctions, or the general GPVW → Safra pipeline, as
-  :func:`repro.core.classifier.formula_route` decides it;
+  :func:`repro.core.classifier.formula_route` decides it; when a §4
+  rewriting law moved the formula onto a tester route, the route detail
+  names the law and the rewritten formula;
 * **the deciding view** — whether the verdict is certified syntactically
   (the formula literally *is* a §4 normal form of its canonical class) or
   semantically (the §5.1 decision procedures on the automaton view);

@@ -257,6 +257,41 @@ def random_normal_form_formula(
     return conjuncts[0] if len(conjuncts) == 1 else And(conjuncts)
 
 
+#: The formula shapes :func:`repro.logic.rewrite.normalize` rewrites.
+NORMALIZABLE_SHAPES = ("negation", "response", "response-or-global", "precedence")
+
+
+def random_normalizable_formula(
+    rng: random.Random, props: Sequence[str], shape: str
+) -> Formula:
+    """A random formula of one of :data:`NORMALIZABLE_SHAPES`, over random
+    pure-past bodies: a negated simple reactivity or simple obligation
+    formula (``¬□◇a ∨ ◇□b``, ``¬(□a ∧ ◇b)``, …), response ``□(A ∨ ◇b)``,
+    response-or-global ``□(A ∨ ◇b ∨ □c)`` or precedence ``□(A ∨ x W y)``.
+    """
+    past = lambda: random_past_formula(rng, props, 2)
+    if shape == "response":
+        return Always(Or((past(), Eventually(past()))))
+    if shape == "response-or-global":
+        return Always(Or((past(), Eventually(past()), Always(past()))))
+    if shape == "precedence":
+        return Always(Or((past(), Unless(past(), past()))))
+    if shape != "negation":
+        raise ValueError(f"unknown normalizable shape {shape!r}")
+    if rng.random() < 0.5:
+        first, second = (
+            lambda body: Always(Eventually(body)),
+            lambda body: Eventually(Always(body)),
+        )
+    else:
+        first, second = Always, Eventually
+    if rng.random() < 0.5:
+        first, second = second, first
+    if rng.random() < 0.5:
+        return Or((Not(first(past())), second(past())))
+    return Not(And((first(past()), second(past()))))
+
+
 # ---------------------------------------------------------------------------
 # Finitary automata
 # ---------------------------------------------------------------------------

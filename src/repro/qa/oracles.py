@@ -16,6 +16,10 @@ The four oracles mirror the paper's four coinciding views:
   (safety, guarantee and liveness by their language-equivalence
   definitions) on random Streett/Rabin automata.
 
+``normalize`` checks the rewriting step in front of dispatch: §4's
+normal-form laws (:func:`repro.logic.rewrite.normalize`) against the raw
+GPVW → Safra automaton of the formula they rewrite.
+
 Two more cover the execution engines rather than the views: ``fastpath``
 (dense kernels vs. the audited reference routes) and ``fleet`` (the
 vectorized monitor fleet vs. a loop of scalar ``PrefixMonitor``\\ s,
@@ -34,25 +38,35 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.classes import TemporalClass
-from repro.core.classifier import formula_to_automaton
+from repro.core.classifier import (
+    ROUTE_SAFRA,
+    default_alphabet,
+    formula_route,
+    formula_to_automaton,
+)
 from repro.core.monitor import PrefixMonitor, Verdict3
 from repro.finitary.dfa import DFA
 from repro.finitary.language import FinitaryLanguage
 from repro.logic.ast import Formula, Not
 from repro.logic.classes import normal_form_class, syntactic_classes
 from repro.logic.parser import parse_formula
+from repro.logic.rewrite import normalize
 from repro.logic.semantics import satisfies
 from repro.omega.classify import classify, rabin_index, streett_index
 from repro.omega.closure import is_liveness, is_safety_closed, safety_closure
 from repro.omega.hoa import from_hoa, to_hoa
 from repro.omega.linguistic import a_of, e_of, p_of, r_of
+from repro.omega.safra import formula_to_dra
 from repro.qa.generate import (
+    NORMALIZABLE_SHAPES,
     GeneratorConfig,
     random_det_automaton,
     random_formula,
     random_language,
+    random_lasso,
     random_lasso_sample,
     random_normal_form_formula,
+    random_normalizable_formula,
 )
 from repro.qa.shrink import shrink_automaton, shrink_formula
 from repro.words.alphabet import Alphabet
@@ -236,9 +250,11 @@ class FormulaClassOracle(Oracle):
                 f"{formula!r}: matches the {literal.value} normal form but the"
                 f" automaton classifier denies {literal.value}"
             )
-        # Complement duality across the two pipelines: ¬φ compiles through a
-        # different path (GPVW/Safra) yet must land in the dual classes.
-        negated = classify(formula_to_automaton(Not(formula)))
+        # Complement duality across the two pipelines: ¬φ compiles on the raw
+        # GPVW → Safra route, never on the tester route φ may take (which
+        # normalization would otherwise also pick for ¬φ), yet must land in
+        # the dual classes.
+        negated = classify(formula_to_dra(Not(formula), default_alphabet(formula)))
         for temporal_class in TemporalClass:
             if verdict.membership[temporal_class] != negated.membership[temporal_class.dual()]:
                 return (
@@ -257,6 +273,104 @@ class FormulaClassOracle(Oracle):
 
     def from_artifact(self, artifact) -> Formula:
         return parse_formula(artifact["formula"])
+
+
+# ---------------------------------------------------------------------------
+# 2b. The normal-form rewrite vs. the raw general pipeline
+# ---------------------------------------------------------------------------
+
+
+class NormalizeOracle(Oracle):
+    """``normalize(φ)`` against φ, for the four shapes it rewrites.
+
+    The rewritten formula must reach a tester or pair-product route, the
+    automaton that route builds must be language-equivalent to the raw
+    GPVW → Safra automaton of φ, and on sampled lassos the lasso semantics
+    of φ and of ``normalize(φ)`` and both automata must agree.
+    """
+
+    name = "normalize"
+    routes = (
+        "raw GPVW → Safra automaton of φ",
+        "normal-form route of normalize(φ)",
+        "lasso semantics of φ and normalize(φ)",
+    )
+
+    def generate(self, rng: random.Random, config: GeneratorConfig):
+        shape = rng.choice(NORMALIZABLE_SHAPES)
+        formula = random_normalizable_formula(rng, config.propositions, shape)
+        alphabet = default_alphabet(formula)
+        lassos = {
+            random_lasso(rng, alphabet, config.max_stem, config.max_loop): None
+            for _ in range(config.lasso_samples)
+        }
+        return formula, tuple(lassos)
+
+    def check(self, subject) -> str | None:
+        failure = self._failure(*subject)
+        return None if failure is None else failure[1]
+
+    def _failure(self, formula: Formula, lassos) -> tuple[str, str] | None:
+        """``(kind, detail)`` of the first disagreement, else ``None``."""
+        normal = normalize(formula)
+        route = formula_route(formula)
+        if route.id == ROUTE_SAFRA:
+            return "route", f"{formula!r}: normalize gave {normal!r}, which takes {ROUTE_SAFRA}"
+        alphabet = default_alphabet(formula)
+        raw = formula_to_dra(formula, alphabet)
+        rewritten = route.build(alphabet)
+        if not rewritten.equivalent_to(raw):
+            return "automaton", (
+                f"{formula!r}: the automaton of {normal!r} is not equivalent to the raw one"
+            )
+        symbols = set(alphabet)
+        for lasso in lassos:
+            if not lasso.symbols_used() <= symbols:
+                continue  # a shrunk formula can lose a lasso's propositions
+            verdicts = {
+                "semantics of φ": satisfies(lasso, formula),
+                "semantics of normalize(φ)": satisfies(lasso, normal),
+                "raw automaton": raw.accepts(lasso),
+                "rewritten automaton": rewritten.accepts(lasso),
+            }
+            if len(set(verdicts.values())) > 1:
+                return "lasso", f"{formula!r} → {normal!r} on {lasso!r}: {verdicts}"
+        return None
+
+    def shrink(self, subject):
+        formula, lassos = subject
+        kind = self._failure(formula, lassos)[0]
+
+        def same_failure(candidate: Formula) -> bool:
+            failure = self._failure(candidate, lassos)
+            return failure is not None and failure[0] == kind
+
+        return shrink_formula(formula, same_failure), lassos
+
+    def to_artifact(self, subject) -> dict[str, Any]:
+        from repro.fleet.stream import symbol_to_json
+
+        formula, lassos = subject
+        return {
+            "formula": repr(formula),
+            "lassos": [
+                [[symbol_to_json(s) for s in part] for part in (l.stem, l.loop)]
+                for l in lassos
+            ],
+        }
+
+    def from_artifact(self, artifact):
+        from repro.fleet.stream import symbol_from_json
+
+        lassos = tuple(
+            LassoWord(*([symbol_from_json(s) for s in part] for part in pair))
+            for pair in artifact["lassos"]
+        )
+        return parse_formula(artifact["formula"]), lassos
+
+    def describe(self, subject) -> str:
+        formula, lassos = subject
+        return f"{formula!r} over {len(lassos)} lasso(s)"
 
 
 # ---------------------------------------------------------------------------
@@ -824,6 +938,7 @@ ORACLES: dict[str, Oracle] = {
     for oracle in (
         FormulaLassoOracle(),
         FormulaClassOracle(),
+        NormalizeOracle(),
         LinguisticOracle(),
         AutomatonOracle(),
         FastpathOracle(),

@@ -178,10 +178,11 @@ class TestHotPathInstrumentation:
         from repro.obs.spans import TRACER
         from repro.words import Alphabet
 
-        # "(G F p -> G F q)" takes the general GPVW → Safra route.
+        # "(G F X p -> G F q)" takes the general GPVW → Safra route: no
+        # normal-form rewrite reaches the X under G F.
         with TRACER.tracing():
             classify_formula(
-                parse_formula("(G F p -> G F q)"),
+                parse_formula("(G F X p -> G F q)"),
                 Alphabet.powerset_of_propositions(["p", "q"]),
             )
             spans = TRACER.finished()

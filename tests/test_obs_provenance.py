@@ -36,7 +36,7 @@ SIX_CLASSES = [
     ("(G p) | (F q)", TemporalClass.OBLIGATION, ROUTE_COBUCHI_PRODUCT),
     ("G F p", TemporalClass.RECURRENCE, ROUTE_LINGUISTIC),
     ("F G p", TemporalClass.PERSISTENCE, ROUTE_LINGUISTIC),
-    ("(G F p -> G F q)", TemporalClass.REACTIVITY, ROUTE_SAFRA),
+    ("(G F p -> G F q)", TemporalClass.REACTIVITY, ROUTE_STREETT_PRODUCT),
 ]
 
 
@@ -70,6 +70,34 @@ def test_explain_all_six_classes(text, expected, route):
     assert member[expected] is True
     report = cached_classify_formula(parse_formula(text), bank=bank)
     assert_reasons_match_procedures(explanation, report.automaton)
+
+
+def test_reactivity_outside_every_normal_form_keeps_the_general_route():
+    # No rewriting law reaches the X under G F, so no tester route applies.
+    bank = CacheBank()
+    explanation = explain_formula("G F X p -> G F q", bank=bank)
+    assert explanation.canonical is TemporalClass.REACTIVITY
+    assert explanation.route == ROUTE_SAFRA
+    assert explanation.route_detail.startswith("general pipeline")
+    report = cached_classify_formula(parse_formula("G F X p -> G F q"), bank=bank)
+    assert_reasons_match_procedures(explanation, report.automaton)
+
+
+def test_explain_names_the_rewriting_law_and_the_rewritten_formula():
+    from repro.logic.rewrite import LAW_RESPONSE, normalize
+
+    explanation = explain_formula("G (!r | F p)", bank=CacheBank())
+    rewritten = normalize(parse_formula("G (!r | F p)"))
+    assert repr(rewritten) == "G F !((!p S (r & !p)))"
+    assert explanation.route == ROUTE_LINGUISTIC
+    assert LAW_RESPONSE in explanation.route_detail
+    assert repr(rewritten) in explanation.route_detail
+    assert "recurrence normal form" in explanation.route_detail
+    # The verdict and the syntactic view stay those of the input formula.
+    assert explanation.subject == "G (!r | F p)"
+    assert explanation.canonical is TemporalClass.RECURRENCE
+    assert explanation.normal_form is None
+    assert LAW_RESPONSE in explanation.render()
 
 
 def test_normal_form_input_decided_by_formula_view():

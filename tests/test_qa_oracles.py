@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.classes import TemporalClass
 from repro.engine.metrics import METRICS
+from repro.logic.ast import Not
 from repro.logic.parser import parse_formula
 from repro.qa.fuzz import run_fuzz
 from repro.qa.generate import GeneratorConfig
@@ -19,10 +20,11 @@ from repro.qa.shrink import formula_size
 
 
 class TestOracleRegistry:
-    def test_six_oracles_registered(self):
+    def test_seven_oracles_registered(self):
         assert set(ORACLES) == {
             "formula-lasso",
             "formula-class",
+            "normalize",
             "linguistic",
             "automaton",
             "fastpath",
@@ -72,6 +74,43 @@ class TestFuzzRun:
     def test_oracle_subset_selection(self):
         report = run_fuzz(seed=5, budget=6, oracles=["linguistic"])
         assert report.per_oracle == {"linguistic": 6}
+
+
+class TestNormalizeOracle:
+    def test_every_generated_shape_is_rewritten_and_agrees(self, qa_seed):
+        report = run_fuzz(seed=qa_seed, budget=24, oracles=["normalize"])
+        assert report.ok, report.summary()
+
+    def test_a_broken_law_is_caught(self, monkeypatch, qa_seed):
+        # The lie: the response laws lose their outer negation, □◇¬V → □◇V.
+        from repro.logic.ast import Always, Eventually
+        from repro.logic.rewrite import normalize
+
+        def broken(formula, applied=None):
+            normal = normalize(formula, applied)
+            if isinstance(normal, Always) and isinstance(normal.operand, Eventually):
+                return Always(Eventually(Not(normal.operand.operand)))
+            return normal
+
+        monkeypatch.setattr("repro.core.classifier.normalize", broken)
+        report = run_fuzz(seed=qa_seed, budget=40, oracles=["normalize"])
+        assert not report.ok
+        assert any("not equivalent" in f.shrunk_detail for f in report.failures)
+
+    def test_formula_class_negates_on_the_raw_general_route(self, monkeypatch):
+        import repro.qa.oracles as oracles
+
+        compiled = []
+        original = oracles.formula_to_dra
+
+        def counted(formula, alphabet):
+            compiled.append(formula)
+            return original(formula, alphabet)
+
+        monkeypatch.setattr(oracles, "formula_to_dra", counted)
+        formula = parse_formula("G p")
+        assert oracle_named("formula-class").check(formula) is None
+        assert compiled == [Not(formula)]
 
 
 class TestInjectedBugIsCaughtAndShrunk:

@@ -136,7 +136,9 @@ class TestPerItemEngineCost:
         config = ServerConfig(
             port=0, window_ms=200.0, store_path=str(tmp_path / "store.db"), trace=True
         )
-        cheap, expensive = "p", "!G F (p & q) | G F (s | r)"
+        # The expensive formula stays on the GPVW → Safra route (no
+        # normal-form rewrite reaches the X under G F).
+        cheap, expensive = "p", "!G F (p & q) | G F (s | X r)"
         with start_in_thread(config, bank=CacheBank(), metrics=MetricsRegistry()) as server:
             with ServeClient.connect("127.0.0.1", server.port, trace=False) as quiet:
                 ids = [quiet.send("classify", formula=f) for f in (cheap, expensive)]
