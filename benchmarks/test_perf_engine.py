@@ -3,7 +3,7 @@
 Not a paper artifact: demonstrates that the ``repro.engine`` layer turns
 repeat traffic into cache hits.  The headline assertion: re-running a
 50-formula batch (with duplicates) against a warm cache is at least 5×
-faster than the cold run, and serial/threaded execution agree exactly.
+faster than the cold run, and serial and process-pool execution agree exactly.
 """
 
 import time
@@ -77,13 +77,14 @@ def test_warm_cache_batch_speedup():
     assert speedup >= 5.0, f"warm cache only {speedup:.1f}x faster"
 
 
-def test_serial_and_thread_executors_agree():
+def test_serial_and_process_executors_agree():
     corpus = _corpus()
     serial = EvaluationEngine(executor="serial", bank=CacheBank()).classify_formulas(corpus)
-    threaded = EvaluationEngine(
-        executor="thread", max_workers=4, bank=CacheBank()
-    ).classify_formulas(corpus)
-    for left, right in zip(serial.results, threaded.results):
+    with EvaluationEngine(executor="process", max_workers=2, bank=CacheBank()) as engine:
+        pooled = engine.classify_formulas(corpus)
+    assert pooled.executor == "process"
+    assert all(result.ok for result in pooled.results)
+    for left, right in zip(serial.results, pooled.results):
         assert left.value.canonical_class is right.value.canonical_class
         assert left.value.semantic.membership == right.value.semantic.membership
 

@@ -136,7 +136,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
         session = EngineSession.create(executor=args.executor, max_workers=args.jobs)
         try:
-            report = session.run_file(args.batch)
+            with session.engine:
+                report = session.run_file(args.batch)
         except (OSError, SpecSyntaxError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
@@ -198,8 +199,9 @@ def cmd_engine(args: argparse.Namespace) -> int:
     )
     report = None
     try:
-        for _ in range(args.repeat):
-            report = session.run_file(args.file)
+        with session.engine:
+            for _ in range(args.repeat):
+                report = session.run_file(args.file)
     except (OSError, SpecSyntaxError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -227,7 +229,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     TRACER.enable()
     TRACER.clear()
     try:
-        report = session.run_file(args.file)
+        with session.engine:
+            report = session.run_file(args.file)
     except (OSError, SpecSyntaxError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -763,7 +766,7 @@ def main(argv: list[str] | None = None) -> int:
         "--batch", metavar="FILE", help="classify every spec in FILE through the engine"
     )
     p_classify.add_argument(
-        "--executor", choices=["serial", "thread", "process"], default="serial"
+        "--executor", choices=["serial", "process"], default="serial"
     )
     p_classify.add_argument("--jobs", type=int, default=None, help="pool size for --batch")
     p_classify.add_argument(
@@ -821,7 +824,7 @@ def main(argv: list[str] | None = None) -> int:
         help="per-connection inflight cap (retryable 'quota' frame; default 64)",
     )
     p_serve.add_argument(
-        "--executor", choices=["serial", "thread", "process"], default="serial"
+        "--executor", choices=["serial", "process"], default="serial"
     )
     p_serve.add_argument("--jobs", type=int, default=None, help="engine pool size")
     p_serve.add_argument(
@@ -911,7 +914,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_trace.add_argument("file", help="spec file: one formula / omega / monitor line each")
     p_trace.add_argument(
-        "--executor", choices=["serial", "thread", "process"], default="serial"
+        "--executor", choices=["serial", "process"], default="serial"
     )
     p_trace.add_argument("--jobs", type=int, default=None, help="worker pool size")
     p_trace.add_argument(
@@ -935,7 +938,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_engine.add_argument("file", help="spec file: one formula / omega / monitor line each")
     p_engine.add_argument(
-        "--executor", choices=["serial", "thread", "process"], default="serial"
+        "--executor", choices=["serial", "process"], default="serial"
     )
     p_engine.add_argument("--jobs", type=int, default=None, help="worker pool size")
     p_engine.add_argument(

@@ -13,19 +13,27 @@ worker and supervises them directly:
   replacement worker — the pool replenishes and the run continues;
 * a task that outlives ``timeout`` seconds gets its worker killed and a
   ``timeout`` outcome; the remaining tasks are unaffected;
-* an exception *inside* the worker function is caught worker-side and comes
-  back as an ``error`` outcome (the worker survives and is reused).
+* an exception *inside* the worker function, or a payload or result that
+  will not pickle, comes back as an ``error`` outcome (the worker survives
+  and is reused).
+
+Each :meth:`~CrashIsolatedPool.map` spawns its workers and joins them before
+it returns (the census), unless :meth:`~CrashIsolatedPool.start` made the
+pool persistent: its workers then serve every ``map`` until
+:meth:`~CrashIsolatedPool.close` (the evaluation engine's ``process``
+executor).
 
 Workers are plain processes from a configurable start method (``fork`` where
 available, else ``spawn``); the worker function and initializer must be
 module-level callables so they pickle under ``spawn``.  Results are opaque
-to the pool — callers interpret them (the census runner ships span payloads
-and metrics deltas through here, for example).
+to the pool — callers interpret them (the census runner and the engine ship
+span payloads and metrics deltas through here).
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -39,6 +47,12 @@ STATUS_OK = "ok"
 STATUS_ERROR = "error"  # worker function raised; worker survived
 STATUS_CRASHED = "crashed"  # worker process died mid-task
 STATUS_TIMEOUT = "timeout"  # task exceeded the wall-clock budget
+
+_FAILURE_COUNTERS = {
+    STATUS_ERROR: "census.pool.errors",
+    STATUS_CRASHED: "census.pool.crashed",
+    STATUS_TIMEOUT: "census.pool.timeouts",
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,6 +70,19 @@ class TaskOutcome:
         return self.status == STATUS_OK
 
 
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def run_task(worker: Callable, index: int, payload: Any) -> TaskOutcome:
+    """One task in this process: its result, or what it raised as ``error``."""
+    start = time.perf_counter()
+    try:
+        return TaskOutcome(index, STATUS_OK, worker(payload), None, time.perf_counter() - start)
+    except Exception as exc:  # noqa: BLE001 — must reach the supervisor
+        return TaskOutcome(index, STATUS_ERROR, None, _describe(exc), time.perf_counter() - start)
+
+
 def _worker_loop(conn, worker: Callable, initializer: Callable | None) -> None:
     """Worker main: one task per message until the ``None`` shutdown pill."""
     try:
@@ -68,23 +95,14 @@ def _worker_loop(conn, worker: Callable, initializer: Callable | None) -> None:
                 return
             if message is None:
                 return
-            index, payload = message
-            start = time.perf_counter()
-            try:
-                result = worker(payload)
-                reply = (index, STATUS_OK, result, None, time.perf_counter() - start)
-            except Exception as exc:  # noqa: BLE001 — must reach the supervisor
-                reply = (
-                    index,
-                    STATUS_ERROR,
-                    None,
-                    f"{type(exc).__name__}: {exc}",
-                    time.perf_counter() - start,
-                )
+            reply = run_task(worker, *message)
             try:
                 conn.send(reply)
             except (BrokenPipeError, OSError):
                 return  # supervisor is gone; nothing left to report to
+            except Exception as exc:  # noqa: BLE001 — the result will not pickle
+                error = _describe(exc)
+                conn.send(TaskOutcome(reply.index, STATUS_ERROR, None, error, reply.wall_seconds))
     finally:
         try:
             conn.close()
@@ -95,13 +113,12 @@ def _worker_loop(conn, worker: Callable, initializer: Callable | None) -> None:
 class _Slot:
     """One supervised worker: its process, its pipe, and its current task."""
 
-    __slots__ = ("process", "conn", "task", "payload", "started", "deadline")
+    __slots__ = ("process", "conn", "task", "started", "deadline")
 
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
         self.task: int | None = None
-        self.payload: Any = None
         self.started: float = 0.0
         self.deadline: float | None = None
 
@@ -164,6 +181,10 @@ class CrashIsolatedPool:
         #: :meth:`map` runs (worker-liveness telemetry).
         self.workers_alive = 0
         self._ctx = multiprocessing.get_context(start_method or default_start_method())
+        self._slots: list[_Slot] = []
+        self._persistent = False
+        # One map at a time: the slots and their pipes belong to one run.
+        self._lock = threading.RLock()
 
     def _emit(self, outcome: TaskOutcome) -> None:
         if self.on_outcome is None:
@@ -174,6 +195,31 @@ class CrashIsolatedPool:
             METRICS.counter("census.pool.callback_errors").inc()
 
     # ------------------------------------------------------------ lifecycle
+
+    def start(self) -> None:
+        """Make the pool persistent: spawn all ``jobs`` workers now and keep
+        them, across :meth:`map` calls, until :meth:`close`."""
+        with self._lock:
+            self._persistent = True
+            self._top_up(self.jobs)
+
+    def close(self) -> None:
+        """Stop and join every worker; a later :meth:`map` spawns afresh."""
+        with self._lock:
+            self._persistent = False
+            for slot in self._slots:
+                try:
+                    slot.conn.send(None)  # graceful shutdown pill
+                except OSError:
+                    pass
+                self._retire_slot(slot, kill=False)
+            self._slots = []
+            self.workers_alive = 0
+
+    def _top_up(self, count: int) -> None:
+        while len(self._slots) < count:
+            self._slots.append(self._spawn_slot())
+        self.workers_alive = len(self._slots)
 
     def _spawn_slot(self) -> _Slot:
         parent_conn, child_conn = self._ctx.Pipe()
@@ -203,16 +249,20 @@ class CrashIsolatedPool:
     def map(self, payloads: Sequence[Any]) -> list[TaskOutcome]:
         """Run every payload; always returns one outcome per payload, in
         payload order, whatever the workers did."""
-        pending: deque[tuple[int, Any]] = deque(enumerate(payloads))
-        outcomes: list[TaskOutcome | None] = [None] * len(payloads)
         if not payloads:
             return []
-        slots = [self._spawn_slot() for _ in range(min(self.jobs, len(payloads)))]
-        self.workers_alive = len(slots)
+        with self._lock:
+            return self._map(payloads)
+
+    def _map(self, payloads: Sequence[Any]) -> list[TaskOutcome]:
+        pending: deque[tuple[int, Any]] = deque(enumerate(payloads))
+        outcomes: list[TaskOutcome | None] = [None] * len(payloads)
+        slots = self._slots
+        self._top_up(min(self.jobs, len(payloads)))
         remaining = len(payloads)
         try:
             while remaining:
-                self._fill_idle_slots(slots, pending)
+                self._fill_idle_slots(slots, pending, outcomes)
                 busy = [slot for slot in slots if slot.task is not None]
                 if not busy:
                     break  # every task accounted for (or unassignable)
@@ -222,20 +272,22 @@ class CrashIsolatedPool:
                 )
                 remaining = sum(1 for outcome in outcomes if outcome is None)
         finally:
-            self.workers_alive = 0
-            for slot in slots:
-                if slot.task is None:
-                    try:
-                        slot.conn.send(None)  # graceful shutdown pill
-                    except OSError:
-                        pass
-                self._retire_slot(slot, kill=slot.task is not None)
+            # A worker still holding a task (the run was interrupted) would
+            # answer into the next run: kill it.
+            for slot in [slot for slot in slots if slot.task is not None]:
+                self._retire_slot(slot, kill=True)
+                slots.remove(slot)
+            if not self._persistent:
+                self.close()
+            self.workers_alive = len(self._slots)
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
 
     # ------------------------------------------------------------ internals
 
-    def _fill_idle_slots(self, slots: list[_Slot], pending: deque) -> None:
+    def _fill_idle_slots(
+        self, slots: list[_Slot], pending: deque, outcomes: list[TaskOutcome | None]
+    ) -> None:
         if pending and not slots:
             slots.append(self._spawn_slot())
         for position, slot in enumerate(slots):
@@ -251,8 +303,12 @@ class CrashIsolatedPool:
                     METRICS.counter("census.pool.respawns").inc()
                     slot = slots[position] = self._spawn_slot()
                     continue
+                except Exception as exc:  # noqa: BLE001 — the payload will not pickle
+                    # Pickling precedes the write: nothing reached the worker.
+                    failed = TaskOutcome(index, STATUS_ERROR, None, _describe(exc), 0.0)
+                    self._settle(outcomes, failed)
+                    continue
                 slot.task = index
-                slot.payload = payload
                 slot.started = time.monotonic()
                 slot.deadline = (
                     slot.started + self.timeout if self.timeout is not None else None
@@ -279,7 +335,8 @@ class CrashIsolatedPool:
                 and slot.deadline is not None
                 and now >= slot.deadline
             ):
-                self._expire(slot, slots, pending, outcomes)
+                error = f"timed out after {self.timeout:.1f}s"
+                self._fail_held(slot, slots, pending, outcomes, STATUS_TIMEOUT, error)
 
     def _receive(
         self,
@@ -288,69 +345,43 @@ class CrashIsolatedPool:
         pending: deque,
         outcomes: list[TaskOutcome | None],
     ) -> None:
-        position = slots.index(slot)
         try:
-            index, status, result, error, seconds = slot.conn.recv()
+            outcome = slot.conn.recv()
         except (EOFError, OSError):
             # Worker died mid-task (os._exit, segfault, OOM-kill): charge the
             # held task, replace the worker, keep going.
-            held = slot.task
-            wall = time.monotonic() - slot.started
-            self._retire_slot(slot, kill=True)
-            exitcode = slot.process.exitcode
-            if held is not None:
-                outcomes[held] = TaskOutcome(
-                    index=held,
-                    status=STATUS_CRASHED,
-                    result=None,
-                    error=f"worker died (exitcode {exitcode})",
-                    wall_seconds=wall,
-                )
-                METRICS.counter("census.pool.crashed").inc()
-                self._emit(outcomes[held])
-            METRICS.counter("census.pool.respawns").inc()
-            if pending:
-                slots[position] = self._spawn_slot()
-            else:
-                del slots[position]
+            self._fail_held(slot, slots, pending, outcomes, STATUS_CRASHED, None)
             return
-        outcomes[index] = TaskOutcome(
-            index=index,
-            status=status,
-            result=result,
-            error=error,
-            wall_seconds=seconds,
-        )
-        if status == STATUS_ERROR:
-            METRICS.counter("census.pool.errors").inc()
-        self._emit(outcomes[index])
+        self._settle(outcomes, outcome)
         slot.task = None
-        slot.payload = None
         slot.deadline = None
 
-    def _expire(
+    def _fail_held(
         self,
         slot: _Slot,
         slots: list[_Slot],
         pending: deque,
         outcomes: list[TaskOutcome | None],
+        status: str,
+        error: str | None,
     ) -> None:
-        position = slots.index(slot)
-        held = slot.task
-        assert held is not None
+        """Kill ``slot``'s worker and charge its task ``status``; replace the
+        worker while work is pending, else the pool shrinks by one."""
         wall = time.monotonic() - slot.started
         self._retire_slot(slot, kill=True)
-        outcomes[held] = TaskOutcome(
-            index=held,
-            status=STATUS_TIMEOUT,
-            result=None,
-            error=f"timed out after {self.timeout:.1f}s",
-            wall_seconds=wall,
-        )
-        METRICS.counter("census.pool.timeouts").inc()
-        self._emit(outcomes[held])
+        if slot.task is not None:
+            error = error or f"worker died (exitcode {slot.process.exitcode})"
+            self._settle(outcomes, TaskOutcome(slot.task, status, None, error, wall))
         METRICS.counter("census.pool.respawns").inc()
+        position = slots.index(slot)
         if pending:
             slots[position] = self._spawn_slot()
         else:
             del slots[position]
+
+    def _settle(self, outcomes: list[TaskOutcome | None], outcome: TaskOutcome) -> None:
+        """Record one task's outcome, count it if it failed, and report it."""
+        outcomes[outcome.index] = outcome
+        if not outcome.ok:
+            METRICS.counter(_FAILURE_COUNTERS[outcome.status]).inc()
+        self._emit(outcome)

@@ -20,8 +20,8 @@ that determinism is what makes the committed baseline a regression gate.
 The worker function classifies a general-route formula on the quotient it
 already built for the size columns (one GPVW → Safra run per formula),
 reuses the engine's cache bank (worker-local) otherwise, and ships span payloads
-plus a metrics snapshot delta back to the supervisor exactly like the
-evaluation engine's process executor does.
+plus a metrics snapshot delta back to the supervisor through
+:func:`repro.obs.spans.run_shipped`, as the engine's process executor does.
 """
 
 from __future__ import annotations
@@ -34,14 +34,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.census.corpus import CorpusEntry
-from repro.census.pool import (
-    STATUS_ERROR,
-    STATUS_OK,
-    CrashIsolatedPool,
-    TaskOutcome,
-)
-from repro.engine.metrics import METRICS, snapshot_delta
-from repro.obs.spans import TRACER, stage
+from repro.census.pool import STATUS_OK, CrashIsolatedPool, TaskOutcome, run_task
+from repro.engine.metrics import METRICS
+from repro.obs.spans import TRACER, adopt_shipped, run_shipped, stage
 
 #: Environment hook for the crash-isolation acceptance tests: set to
 #: ``crash:<formula>``, ``hang:<formula>`` or ``raise:<formula>`` and the
@@ -271,24 +266,12 @@ def classify_task(payload: dict) -> dict:
 
     ``payload`` is ``{"text": ..., "parent": (trace_id, span_id) | None}``;
     the reply carries the measurement plus, when tracing, the worker's span
-    payloads and metrics delta for supervisor-side re-stitching (the same
-    contract as the evaluation engine's process executor).
-    """
+    payloads and metrics delta (:func:`repro.obs.spans.run_shipped`)."""
     text = payload["text"]
-    parent = payload.get("parent")
-    if parent is None:
-        return {"fields": _measure(text), "spans": None, "metrics": None}
-    if not TRACER.enabled:
-        TRACER.enable()
-    mark = len(TRACER)
-    before = METRICS.snapshot()
-    with TRACER.span("census.formula", formula=text):
-        result = _measure(text)
-    return {
-        "fields": result,
-        "spans": TRACER.export_payloads(since=mark),
-        "metrics": snapshot_delta(before, METRICS.snapshot()),
-    }
+    fields, spans, metrics = run_shipped(
+        payload.get("parent"), "census.formula", _measure, text, formula=text
+    )
+    return {"fields": fields, "spans": spans, "metrics": metrics}
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +325,7 @@ def run_census(
         if serial:
             outcomes = []
             for index, payload in enumerate(payloads):
-                outcome = _serial_outcome(index, payload)
+                outcome = run_task(classify_task, index, payload)
                 beat.advance(errors=0 if outcome.ok else 1)
                 outcomes.append(outcome)
             jobs_used = 1
@@ -366,10 +349,7 @@ def run_census(
         rows = []
         for entry, outcome in zip(entries, outcomes):
             if outcome.ok and not serial:
-                if outcome.result.get("spans"):
-                    TRACER.adopt(outcome.result["spans"], parent)
-                if outcome.result.get("metrics"):
-                    METRICS.merge_snapshot(outcome.result["metrics"])
+                adopt_shipped(outcome.result["spans"], outcome.result["metrics"], parent)
             row = _row_from_outcome(entry, outcome)
             rows.append(row)
             METRICS.counter(f"census.rows.{row.status}").inc()
@@ -381,21 +361,6 @@ def run_census(
     return CensusReport(
         rows=rows, wall_seconds=run.seconds, jobs=0 if serial else jobs_used, timeout=timeout
     )
-
-
-def _serial_outcome(index: int, payload: dict) -> TaskOutcome:
-    start = time.perf_counter()
-    try:
-        result = classify_task(payload)
-        return TaskOutcome(index, STATUS_OK, result, None, time.perf_counter() - start)
-    except Exception as exc:  # noqa: BLE001 — serial rows degrade like pool rows
-        return TaskOutcome(
-            index,
-            STATUS_ERROR,
-            None,
-            f"{type(exc).__name__}: {exc}",
-            time.perf_counter() - start,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ This package adds the serving layer on top of the algorithms:
 * :mod:`repro.engine.cache` — size-bounded LRU caches (with statistics
   and explicit invalidation) over the expensive constructions;
 * :mod:`repro.engine.batch` — the :class:`EvaluationEngine`: batches of
-  jobs, structural deduplication, thread/process fan-out with a serial
-  fallback;
+  jobs, structural deduplication, serial or crash-isolated process pool;
 * :mod:`repro.engine.session` — spec-file parsing and report rendering
   for ``python -m repro engine`` and ``classify --batch``.
 

@@ -10,30 +10,30 @@ A *job* is a small immutable description of one unit of work:
 
 ``EvaluationEngine.run`` takes a batch of jobs, collapses structurally
 equal work (two jobs with the same :meth:`Job.key` are evaluated once),
-fans the unique jobs out across a ``concurrent.futures`` thread or process
-pool — with an automatic serial fallback when pools are unavailable — and
-returns one :class:`JobResult` per input job, in input order.  Evaluation
-is write-through on the :mod:`repro.engine.cache` bank, so a warm engine
-answers repeat batches from memory.
+runs the unique jobs here (``serial``) or on the engine's one persistent
+crash-isolated worker pool (``process``), and returns one
+:class:`JobResult` per input job, in input order; a failing job fails
+alone, with a typed status.  Evaluation is write-through on the
+:mod:`repro.engine.cache` bank (a worker's own, under ``process``), so a
+warm engine answers repeat batches from memory.
 
-Jobs are pure and results are values, so serial, threaded and process
-execution return identical results; the tests assert this.
+Jobs are pure and results are values, so serial and process execution
+return identical results; the tests assert this.
 """
 
 from __future__ import annotations
 
+import threading
 import time
-from concurrent import futures
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Hashable, Sequence
 
 from repro.engine.cache import CACHES, CacheBank, CacheStats, cached_classify_formula, cached_omega_language
-from repro.engine.metrics import METRICS, MetricsRegistry, snapshot_delta
+from repro.engine.metrics import METRICS, MetricsRegistry
 from repro.logic.ast import Formula
-from repro.obs.spans import TRACER, SpanContext, stage
+from repro.obs.spans import TRACER, SpanContext, adopt_shipped, annotate, run_shipped, stage
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def _parse(formula: Formula | str) -> Formula:
@@ -186,15 +186,20 @@ class ModelCheck(Job):
 
 @dataclass(frozen=True)
 class JobResult:
-    """One job's outcome: the value or the error, plus provenance."""
+    """One job's outcome: ``status`` (``ok``, ``error`` or, when its pool
+    worker died, ``crashed``), the value or the error, plus provenance."""
 
     index: int
     job: Job
-    ok: bool
+    status: str
     value: Any = None
     error: str | None = None
     seconds: float = 0.0
     deduped: bool = False
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
 
     def unwrap(self) -> Any:
         if not self.ok:
@@ -208,7 +213,6 @@ class BatchReport:
 
     results: list[JobResult]
     executor: str
-    requested_executor: str
     wall_seconds: float
     unique_jobs: int
     cache_stats: dict[str, CacheStats] = field(default_factory=dict)
@@ -248,8 +252,7 @@ class BatchReport:
         lines = [
             f"jobs:        {self.total_jobs} ({self.unique_jobs} unique,"
             f" {self.deduplicated} deduplicated)",
-            f"executor:    {self.executor}"
-            + (f" (requested {self.requested_executor})" if self.executor != self.requested_executor else ""),
+            f"executor:    {self.executor}",
             f"wall time:   {self.wall_seconds*1e3:.1f}ms"
             + (
                 f" ({self.wall_seconds*1e3/self.total_jobs:.2f}ms/job)"
@@ -278,43 +281,32 @@ class BatchReport:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_unique(job: Job) -> tuple[bool, Any, str | None, float]:
-    """Top-level worker (picklable for process pools); uses the process-local
-    global cache bank, which is what a worker process has."""
+def _evaluate_job(job: Job, bank: CacheBank, metrics: MetricsRegistry) -> tuple:
+    """``(status, value, error, seconds)`` for one job; a raising job is a
+    failed outcome, never a failed batch."""
     start = time.perf_counter()
     try:
-        value = job.evaluate(CACHES)
-        return True, value, None, time.perf_counter() - start
+        return "ok", job.evaluate(bank), None, time.perf_counter() - start
     except Exception as exc:  # noqa: BLE001 — batch jobs must not kill the batch
-        return False, None, f"{type(exc).__name__}: {exc}", time.perf_counter() - start
+        metrics.counter("engine.job_errors").inc()
+        error = f"{type(exc).__name__}: {exc}"
+        annotate("error", error)
+        return "error", None, error, time.perf_counter() - start
 
 
-def _evaluate_unique_observed(
-    job: Job, parent: tuple[str, str] | None
-) -> tuple[bool, Any, str | None, float, list[dict] | None, dict | None]:
-    """Process-pool worker with observability: evaluate one job under the
-    worker-local tracer and return ``(outcome…, span payloads, metrics delta)``.
+def _pool_task(payload: tuple) -> tuple:
+    """Pool worker: one job on the worker's own cache bank, traced home."""
+    job, parent = payload
+    return run_shipped(
+        parent, "engine.job", _evaluate_job, job, CACHES, METRICS,
+        kind=job.kind, executor="process",
+    )
 
-    The parent process cannot see a worker's contextvars or registry, so the
-    worker ships both back as plain data: its spans (rooted at ``None``, to
-    be re-stitched under ``parent`` via :meth:`SpanTracer.adopt`) and the
-    per-job metrics snapshot delta.  Worker processes are reused within a
-    pool, hence the before/after slicing — each call returns only its own
-    spans and its own registry contribution.
-    """
-    if parent is None:
-        ok, value, error, seconds = _evaluate_unique(job)
-        return ok, value, error, seconds, None, None
-    if not TRACER.enabled:
-        TRACER.enable()
-    mark = len(TRACER)
-    before = METRICS.snapshot()
-    with TRACER.span("engine.job", kind=job.kind, executor="process") as span:
-        ok, value, error, seconds = _evaluate_unique(job)
-        if not ok:
-            span.set_attribute("error", error)
-    payloads = TRACER.export_payloads(since=mark)
-    return ok, value, error, seconds, payloads, snapshot_delta(before, METRICS.snapshot())
+
+def _pool_worker_init() -> None:
+    # A worker forked while tracing must not keep the inherited spans.
+    TRACER.disable()
+    TRACER.clear()
 
 
 class EvaluationEngine:
@@ -323,13 +315,13 @@ class EvaluationEngine:
     Parameters
     ----------
     executor:
-        ``"serial"`` (default), ``"thread"`` or ``"process"``.  Threads share
-        the cache bank (the constructions release the GIL rarely, but cache
-        hits and I/O overlap); processes isolate it.  If a pool cannot be
-        created or dies, the engine transparently falls back to serial and
-        records the fact in the batch report.
+        ``"serial"`` (default) or ``"process"``: batches with two or more
+        unique jobs run on one persistent ``repro.census.pool`` worker pool,
+        started on first use (or by :meth:`start`) and joined by
+        :meth:`close`; its workers keep their own caches warm.  A job whose
+        worker dies fails alone (``crashed``) and is not re-run.
     max_workers:
-        Pool size; ``None`` lets ``concurrent.futures`` pick.
+        Pool size; ``None`` lets the pool pick (CPU count, at most 8).
     dedupe:
         Collapse structurally equal jobs before evaluation (default on).
     """
@@ -350,6 +342,35 @@ class EvaluationEngine:
         self.dedupe = dedupe
         self.bank = bank or CACHES
         self.metrics = metrics or METRICS
+        self._pool = None
+        self._pool_lock = threading.Lock()
+
+    # ------------------------------------------------------------ lifecycle
+
+    def start(self) -> None:
+        """Start the ``process`` pool now, not on the first parallel batch;
+        it forks, so a threaded host calls this before starting threads."""
+        with self._pool_lock:
+            if self.executor == "process" and self._pool is None:
+                from repro.census.pool import CrashIsolatedPool
+
+                self._pool = CrashIsolatedPool(
+                    _pool_task, jobs=self.max_workers, initializer=_pool_worker_init
+                )
+                self._pool.start()
+
+    def close(self) -> None:
+        """Join the pool's workers; a later parallel batch starts a new pool."""
+        with self._pool_lock:
+            if self._pool is not None:
+                self._pool.close()
+                self._pool = None
+
+    def __enter__(self) -> EvaluationEngine:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ run
 
@@ -367,7 +388,6 @@ class EvaluationEngine:
         return BatchReport(
             results=results,
             executor=executor_used,
-            requested_executor=self.executor,
             wall_seconds=batch.seconds,
             unique_jobs=unique,
             cache_stats=self.bank.stats(),
@@ -396,79 +416,41 @@ class EvaluationEngine:
 
         executor_used, outcomes = self._evaluate(unique_order)
 
+        # Each outcome is (status, value, error, seconds), JobResult's order;
+        # later copies of a deduplicated job are flagged, never the first.
         results: list[JobResult] = []
-        first_owner: set[int] = set()
+        owners: set[int] = set()
         for index, position in enumerate(job_positions):
-            ok, value, error, seconds = outcomes[position]
-            deduped = position in first_owner
-            first_owner.add(position)
-            results.append(
-                JobResult(
-                    index=index,
-                    job=jobs[index],
-                    ok=ok,
-                    value=value,
-                    error=error,
-                    seconds=seconds,
-                    deduped=deduped,
-                )
-            )
+            deduped = position in owners
+            owners.add(position)
+            results.append(JobResult(index, jobs[index], *outcomes[position], deduped=deduped))
         return executor_used, results, len(unique_order)
 
     # ------------------------------------------------------------ execution
 
     def _evaluate(self, unique_jobs: list[Job]) -> tuple[str, list[tuple]]:
-        # Pool worker threads/processes start with empty contextvars, so the
-        # batch span's context is captured here and re-established inside
-        # each worker — that is what keeps the span tree hierarchical across
-        # the executor boundary.
-        parent = TRACER.capture() if TRACER.enabled else None
         if self.executor == "serial" or len(unique_jobs) <= 1:
-            return "serial", [self._evaluate_one(job, parent) for job in unique_jobs]
-        try:
-            if self.executor == "thread":
-                with futures.ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                    return "thread", list(
-                        pool.map(partial(self._evaluate_one, parent=parent), unique_jobs)
-                    )
-            parent_tuple = (parent.trace_id, parent.span_id) if parent else None
-            with futures.ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-                outcomes = list(
-                    pool.map(
-                        partial(_evaluate_unique_observed, parent=parent_tuple),
-                        unique_jobs,
-                    )
-                )
-            return "process", [self._absorb_worker(outcome, parent) for outcome in outcomes]
-        except Exception:  # noqa: BLE001 — pool creation/pickling can fail; degrade
-            self.metrics.counter("engine.pool_fallbacks").inc()
-            return "serial", [self._evaluate_one(job, parent) for job in unique_jobs]
+            outcomes = []
+            for job in unique_jobs:
+                with TRACER.span("engine.job", kind=job.kind, executor="serial"):
+                    outcomes.append(_evaluate_job(job, self.bank, self.metrics))
+            return "serial", outcomes
+        self.start()
+        # Workers cannot see this span context: its ids travel with each job.
+        parent = TRACER.capture() if TRACER.enabled else None
+        shipped_parent = (parent.trace_id, parent.span_id) if parent else None
+        outcomes = self._pool.map([(job, shipped_parent) for job in unique_jobs])
+        return "process", [self._absorb(outcome, parent) for outcome in outcomes]
 
-    def _absorb_worker(self, outcome: tuple, parent: SpanContext | None) -> tuple:
-        """Re-stitch one process-pool outcome: adopt the worker's spans under
-        the batch span and merge its metrics delta into this registry."""
-        ok, value, error, seconds, payloads, metrics_delta = outcome
-        if payloads:
-            TRACER.adopt(payloads, parent)
-        if metrics_delta:
-            self.metrics.merge_snapshot(metrics_delta)
-        return ok, value, error, seconds
-
-    def _evaluate_one(
-        self, job: Job, parent: SpanContext | None = None
-    ) -> tuple[bool, Any, str | None, float]:
-        start = time.perf_counter()
-        with TRACER.activate(parent), TRACER.span(
-            "engine.job", kind=job.kind, executor=self.executor
-        ) as span:
-            try:
-                value = job.evaluate(self.bank)
-                return True, value, None, time.perf_counter() - start
-            except Exception as exc:  # noqa: BLE001
-                self.metrics.counter("engine.job_errors").inc()
-                error = f"{type(exc).__name__}: {exc}"
-                span.set_attribute("error", error)
-                return False, None, error, time.perf_counter() - start
+    def _absorb(self, outcome, parent: SpanContext | None) -> tuple:
+        """A pool outcome as ``(status, value, error, seconds)``; a task the
+        pool failed (unpicklable, worker died) keeps the pool's status."""
+        if not outcome.ok:
+            self.metrics.counter("engine.job_errors").inc()
+            return outcome.status, None, outcome.error, outcome.wall_seconds
+        result, spans, metrics_delta = outcome.result
+        adopt_shipped(spans, metrics_delta, parent, self.metrics)
+        return result
 
     # --------------------------------------------------------- conveniences
 

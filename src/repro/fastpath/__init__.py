@@ -32,8 +32,9 @@ The twins sit behind the public entry points
 in :mod:`repro.omega.classify`).  One size rule picks the route:
 :func:`fastpath.config.dense_route` sends a call to the dense twin once its
 work estimate reaches :data:`DENSE_MIN_WORK`, and to the reference route
-below it.  :func:`fastpath.config.forced` pins either route for tests and
-the differential oracle; there is no environment variable.
+below it (on the corpus, only GPVW, Safra and quotient calls get that far).
+:func:`fastpath.config.forced` pins either route for tests and the
+differential oracle; there is no environment variable.
 
 Correctness contract: the Safra, GPVW, quotient and product kernels return
 automata *structurally identical* to the reference route (same BFS state

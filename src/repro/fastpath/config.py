@@ -5,9 +5,10 @@ keep a reference route and a dense route.  :func:`dense_route` picks the
 dense one when the call's work estimate reaches :data:`DENSE_MIN_WORK`.
 "Work units" are ``states × |Σ|`` for single-automaton kernels and the
 product of the state counts times ``|Σ|`` for product kernels — a proxy
-for the table size the kernel will touch.  Both sides of the cutoff carry
-real traffic: small inputs are faster on the reference route, whose set-up
-is cheaper, and large ones on the dense route.
+for the table size the kernel will touch.  Small inputs are faster on the
+reference route (cheaper set-up), large ones on the dense route.  The corpus
+reaches both sides for GPVW, Safra and quotient only; the emptiness, product
+and Wagner dense routes run under the tests and the qa oracle alone.
 
 :func:`forced` pins one route for a block; the qa ``fastpath`` oracle and
 the benchmark harness use it to run both routes on the same input.

@@ -125,69 +125,73 @@ class _Tableau:
         return _Node(next(self.counter), set(incoming), set(new), set(old), set(nxt))
 
     def expand(self, node: _Node) -> None:
-        if not node.new:
-            key = (frozenset(node.old), frozenset(node.nxt))
-            existing = self._by_sets.get(key)
-            if existing is not None:
-                existing.incoming |= node.incoming
-                return
-            self._by_sets[key] = node
-            self.nodes.append(node)
-            successor = self.fresh({node.name}, node.nxt, set(), set())
-            self.expand(successor)
-            return
-        eta = node.new.pop()
-        if eta in node.old:
-            self.expand(node)
-            return
-        if isinstance(eta, FalseConst):
-            return  # contradiction: drop the node
-        if isinstance(eta, (Prop, TrueConst)) or (
-            isinstance(eta, Not) and isinstance(eta.operand, Prop)
-        ):
-            negation = eta.operand if isinstance(eta, Not) else Not(eta)
-            if negation in node.old:
-                return  # contradiction
-            node.old.add(eta)
-            self.expand(node)
-            return
-        if isinstance(eta, And):
-            node.old.add(eta)
-            node.new |= {op for op in eta.operands if op not in node.old}
-            self.expand(node)
-            return
-        if isinstance(eta, Or):
-            node.old.add(eta)
-            for operand in eta.operands:
-                branch = self.fresh(node.incoming, node.new | {operand}, node.old, node.nxt)
-                self.expand(branch)
-            return
-        if isinstance(eta, Next):
-            node.old.add(eta)
-            node.nxt.add(eta.operand)
-            self.expand(node)
-            return
-        if isinstance(eta, Until):
-            node.old.add(eta)
-            left_branch = self.fresh(
-                node.incoming, node.new | {eta.left}, node.old, node.nxt | {eta}
-            )
-            right_branch = self.fresh(node.incoming, node.new | {eta.right}, node.old, node.nxt)
-            self.expand(left_branch)
-            self.expand(right_branch)
-            return
-        if isinstance(eta, Release):
-            node.old.add(eta)
-            hold_branch = self.fresh(
-                node.incoming, node.new | {eta.right}, node.old, node.nxt | {eta}
-            )
-            fire_branch = self.fresh(
-                node.incoming, node.new | {eta.left, eta.right}, node.old, node.nxt
-            )
-            self.expand(hold_branch)
-            self.expand(fire_branch)
-            return
-        raise AssertionError(f"tableau met unexpected node {eta!r}")
+        # Iterative (deep formulas must not overflow the interpreter stack).
+        # An entry is a node or an Or-branch (node, operand) numbered when
+        # popped; children go on in reverse, keeping recursive fresh() order.
+        stack: list = [node]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, tuple):
+                parent, operand = node
+                node = self.fresh(
+                    parent.incoming, parent.new | {operand}, parent.old, parent.nxt
+                )
+            while node.new:  # a `break` drops the node or replaces it by branches
+                eta = node.new.pop()
+                if eta in node.old:
+                    continue
+                if isinstance(eta, FalseConst):
+                    break  # contradiction: drop the node
+                if isinstance(eta, (Prop, TrueConst)) or (
+                    isinstance(eta, Not) and isinstance(eta.operand, Prop)
+                ):
+                    negation = eta.operand if isinstance(eta, Not) else Not(eta)
+                    if negation in node.old:
+                        break  # contradiction
+                    node.old.add(eta)
+                    continue
+                if isinstance(eta, And):
+                    node.old.add(eta)
+                    node.new |= {op for op in eta.operands if op not in node.old}
+                    continue
+                if isinstance(eta, Or):
+                    node.old.add(eta)
+                    stack.extend((node, operand) for operand in reversed(eta.operands))
+                    break
+                if isinstance(eta, Next):
+                    node.old.add(eta)
+                    node.nxt.add(eta.operand)
+                    continue
+                if isinstance(eta, Until):
+                    node.old.add(eta)
+                    left_branch = self.fresh(
+                        node.incoming, node.new | {eta.left}, node.old, node.nxt | {eta}
+                    )
+                    right_branch = self.fresh(
+                        node.incoming, node.new | {eta.right}, node.old, node.nxt
+                    )
+                    stack += (right_branch, left_branch)
+                    break
+                if isinstance(eta, Release):
+                    node.old.add(eta)
+                    hold_branch = self.fresh(
+                        node.incoming, node.new | {eta.right}, node.old, node.nxt | {eta}
+                    )
+                    fire_branch = self.fresh(
+                        node.incoming, node.new | {eta.left, eta.right}, node.old, node.nxt
+                    )
+                    stack += (fire_branch, hold_branch)
+                    break
+                raise AssertionError(f"tableau met unexpected node {eta!r}")
+            else:  # complete: merge into its twin, or keep it and expand its successor
+                key = (frozenset(node.old), frozenset(node.nxt))
+                existing = self._by_sets.get(key)
+                if existing is not None:
+                    existing.incoming |= node.incoming
+                    continue
+                self._by_sets[key] = node
+                self.nodes.append(node)
+                stack.append(self.fresh({node.name}, node.nxt, set(), set()))
 
 
 def _literal_satisfied(literal: Formula, symbol: Symbol, past_values: dict[str, bool]) -> bool:

@@ -13,14 +13,10 @@ Design constraints, in order:
    ``<5%`` overhead gate in ``BENCH_obs.json`` holds even with tracing *on*
    because spans wrap operations (a determinization, a batch job), never
    per-state work.
-2. **Parents survive executors.**  The active span lives in a
-   :class:`contextvars.ContextVar`.  New threads start with an empty
-   context, so the engine captures a :class:`SpanContext` before handing
-   work to a ``ThreadPoolExecutor`` and re-activates it in the worker
-   (:meth:`SpanTracer.activate`).  Process pools cannot share the tracer at
-   all: the worker runs under its own process-local tracer and ships its
-   finished spans back as plain dicts, which the parent re-stitches under
-   the submitting span (:meth:`SpanTracer.adopt`).
+2. **Parents survive process pools.**  A worker process cannot share the
+   tracer: it runs under its own process-local tracer and ships its
+   finished spans back as plain dicts (:func:`run_shipped`), which the
+   parent re-stitches under the submitting span (:func:`adopt_shipped`).
 3. **Plain data out.**  A finished span serializes to a JSON-safe dict
    (:meth:`Span.as_payload`); ``repro.obs.export`` turns those into JSONL,
    trees and profiles.
@@ -137,10 +133,9 @@ class _NoopSpan:
 
 NOOP_SPAN = _NoopSpan()
 
-#: The active span (or a bare :class:`SpanContext` re-activated from an
-#: executor boundary).  One ContextVar for the whole process: tracers are
+#: The active span.  One ContextVar for the whole process: tracers are
 #: rare (usually just :data:`TRACER`) and context entries are cheap.
-_CURRENT: contextvars.ContextVar[Span | SpanContext | None] = contextvars.ContextVar(
+_CURRENT: contextvars.ContextVar[Span | None] = contextvars.ContextVar(
     "repro_obs_current_span", default=None
 )
 
@@ -426,33 +421,13 @@ class SpanTracer:
     # --------------------------------------------- executor-boundary plumbing
 
     def current(self) -> Span | None:
-        """The innermost open span of this context, if it is a real span."""
-        active = _CURRENT.get()
-        return active if isinstance(active, Span) else None
+        """The innermost open span of this context."""
+        return _CURRENT.get()
 
     def capture(self) -> SpanContext | None:
-        """The active span's context, for re-activation in another thread."""
+        """The active span's context, to ship across a process boundary."""
         active = _CURRENT.get()
-        if isinstance(active, Span):
-            return active.context()
-        return active
-
-    @contextmanager
-    def activate(self, context: SpanContext | None) -> Iterator[None]:
-        """Make ``context`` the parent for spans opened in this block.
-
-        Used on the far side of a thread-pool boundary, where the worker
-        thread's context is empty.  ``None`` is a no-op, so call sites can
-        pass ``tracer.capture()`` through unconditionally.
-        """
-        if context is None:
-            yield
-            return
-        token = _CURRENT.set(context)
-        try:
-            yield
-        finally:
-            _CURRENT.reset(token)
+        return active.context() if active is not None else None
 
     def adopt(
         self, payloads: Iterable[dict[str, Any]], parent: SpanContext | None
@@ -581,3 +556,42 @@ def annotate(key: str, value: object) -> None:
     active = TRACER.current()
     if active is not None:
         active.set_attribute(key, value)
+
+
+def run_shipped(
+    parent: tuple[str, str] | None, name: str, func: Callable, /, *args, **attributes
+) -> tuple[Any, list[dict[str, Any]] | None, dict | None]:
+    """Worker side of a process pool: ``(func(*args), span payloads, metrics
+    delta)``, the call run under a ``name`` span whose spans and metrics are
+    shipped home as plain data.  ``parent`` is the submitter's ``(trace_id,
+    span_id)``; ``None`` (not tracing) runs ``func`` bare and ships nothing.
+    Tracing switched on here is switched off again and its spans dropped, so
+    a long-lived worker holds no spans between tasks."""
+    if parent is None:
+        return func(*args), None, None
+    from repro.engine.metrics import METRICS, snapshot_delta
+
+    was_enabled = TRACER.enabled
+    if not was_enabled:
+        TRACER.enable()
+    try:
+        mark, before = len(TRACER), METRICS.snapshot()
+        with TRACER.span(name, **attributes):
+            result = func(*args)
+        spans = TRACER.export_payloads(since=mark)
+        return result, spans, snapshot_delta(before, METRICS.snapshot())
+    finally:
+        if not was_enabled:
+            TRACER.disable()
+            TRACER.clear()
+
+
+def adopt_shipped(spans, metrics_delta, parent: SpanContext | None, metrics=None) -> None:
+    """Submitter side: re-stitch :func:`run_shipped`'s spans under ``parent``
+    and merge its metrics delta into ``metrics`` (default ``METRICS``)."""
+    if spans:
+        TRACER.adopt(spans, parent)
+    if metrics_delta:
+        from repro.engine.metrics import METRICS
+
+        (metrics or METRICS).merge_snapshot(metrics_delta)

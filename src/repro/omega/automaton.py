@@ -70,6 +70,14 @@ class DetAutomaton:
         aut.acceptance = acceptance
         return aut
 
+    def __getstate__(self) -> tuple:
+        # Only the defining fields pickle; the derived caches in __dict__
+        # (one holds modules) are rebuilt on demand.
+        return (self.alphabet, self._delta, self.initial, self.acceptance)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.alphabet, self._delta, self.initial, self.acceptance = state
+
     # ------------------------------------------------------------------ core
 
     @property

@@ -15,10 +15,11 @@ One :class:`ClassificationServer` owns four cooperating pieces:
 * **dispatch** — each window is processed off-loop in a worker thread:
   persistent-store lookups first, then one
   :class:`~repro.engine.batch.EvaluationEngine` run over the misses
-  (structural dedupe and executor pools included).  If the engine itself
-  fails — a broken or saturated pool, a pickling surprise — the batch
-  degrades to serial in-process evaluation instead of failing requests:
-  counted in ``serve.degraded_batches``, never user-visible.
+  (structural dedupe included).  Under ``--executor process`` the engine
+  runs on one crash-isolated worker pool, started before the server's
+  threads (the pool forks) and joined at shutdown; a request whose job
+  raised or killed its worker gets a non-retryable ``evaluation`` error
+  frame while the rest of its window is answered.
 * **store** — finished payloads are written through to the
   :class:`~repro.serve.store.PersistentStore`, so the *next* process to
   see these formulas answers from disk instead of re-running GPVW/Safra.
@@ -213,6 +214,8 @@ class ClassificationServer:
     # ------------------------------------------------------------- lifecycle
 
     async def start(self) -> None:
+        # Before any thread of ours exists: the process pool forks.
+        self.engine.start()
         self._queue = asyncio.Queue()
         self._idle = asyncio.Event()
         self._idle.set()
@@ -305,6 +308,7 @@ class ClassificationServer:
             self.sidecar = None
         if self.store is not None:
             self.store.close()
+        await asyncio.to_thread(self.engine.close)
         self._stopped.set()
 
     # ----------------------------------------------------------- connections
@@ -615,31 +619,18 @@ class ClassificationServer:
             outcomes: list[tuple[_WorkItem, bool, Any, float]] = []
             engine_items = [item for item in items if item.job is not None]
             if engine_items:
-                try:
-                    report = self.engine.run([item.job for item in engine_items])
-                    for item, result in zip(engine_items, report.results):
-                        if result.ok:
-                            outcome = item.to_payload(result.value)
-                        else:
-                            outcome = result.error
-                        outcomes.append((item, result.ok, outcome, result.seconds))
-                except Exception:  # noqa: BLE001 — degrade, don't fail requests
-                    self.metrics.counter("serve.degraded_batches").inc()
-                    outcomes.extend(self._evaluate_serial(item) for item in engine_items)
-            outcomes.extend(
-                self._evaluate_serial(item) for item in items if item.job is None
-            )
+                report = self.engine.run([item.job for item in engine_items])
+                for item, result in zip(engine_items, report.results):
+                    outcome = item.to_payload(result.value) if result.ok else result.error
+                    outcomes.append((item, result.ok, outcome, result.seconds))
+            outcomes.extend(self._compute(item) for item in items if item.job is None)
             return outcomes
 
-    def _evaluate_serial(self, item: _WorkItem) -> tuple[_WorkItem, bool, Any, float]:
-        """The degradation floor: one request, this thread, no pools."""
+    def _compute(self, item: _WorkItem) -> tuple[_WorkItem, bool, Any, float]:
+        """Direct work (an explain thunk): one request, on this thread."""
         start = time.perf_counter()
         try:
-            if item.compute is not None:
-                payload = item.compute()
-            else:
-                payload = item.to_payload(item.job.evaluate(self.bank))
-            return item, True, payload, time.perf_counter() - start
+            return item, True, item.compute(), time.perf_counter() - start
         except Exception as error:  # noqa: BLE001
             return item, False, f"{type(error).__name__}: {error}", time.perf_counter() - start
 

@@ -1,4 +1,6 @@
-"""The EvaluationEngine: dedup, executors, fallbacks, all four job kinds."""
+"""The EvaluationEngine: dedup, executors, the persistent pool, all four job kinds."""
+
+import os
 
 import pytest
 
@@ -54,10 +56,12 @@ class TestDeduplication:
 
 
 class TestExecutors:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_parallel_matches_serial(self, executor):
         serial = fresh_engine(executor="serial").classify_formulas(CORPUS)
-        parallel = fresh_engine(executor=executor, max_workers=2).classify_formulas(CORPUS)
+        with fresh_engine(executor=executor, max_workers=2) as engine:
+            parallel = engine.classify_formulas(CORPUS)
+        assert parallel.executor == executor
         for left, right in zip(serial.results, parallel.results):
             assert left.ok and right.ok
             assert left.value.canonical_class is right.value.canonical_class
@@ -66,25 +70,86 @@ class TestExecutors:
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):
             EvaluationEngine(executor="gpu")
+        with pytest.raises(ValueError):
+            EvaluationEngine(executor="thread")
 
     def test_single_job_batches_run_serially(self):
-        report = fresh_engine(executor="thread").classify_formulas(["G p"])
+        with fresh_engine(executor="process") as engine:
+            report = engine.classify_formulas(["G p"])
         assert report.executor == "serial"
+        assert engine._pool is None  # no pool for a batch it would not use
 
-    def test_unpicklable_work_falls_back_to_serial(self):
-        # Process pools cannot pickle a local lambda's closure over a lock;
-        # ModelCheck on a live FairTransitionSystem (closures in transitions)
-        # exercises the degradation path.
+    def test_dense_backend_report_comes_home_from_a_worker(self):
+        # The 112-state automaton of the first formula takes the dense
+        # CycleBackend, whose cache holds a module; its report must still
+        # pickle back from the worker instead of failing the batch.
+        formulas = ["G F X a -> G F b", "G p", "F q"]
+        serial = fresh_engine().classify_formulas(formulas)
+        with fresh_engine(executor="process", max_workers=2) as engine:
+            report = engine.classify_formulas(formulas)
+        assert report.executor == "process"
+        assert [r.status for r in report.results] == ["ok"] * 3
+        for left, right in zip(serial.results, report.results):
+            assert left.value.summary() == right.value.summary()
+
+    def test_unpicklable_model_check_gets_a_typed_error_alone(self):
+        # A FairTransitionSystem holds closures, so a ModelCheck job cannot
+        # pickle to a worker: that job fails with status "error" and is not
+        # re-run here, while its picklable batch-mates succeed.
         engine = fresh_engine(executor="process", max_workers=2)
-        system = trivial_mutex()
-        report = engine.run(
-            [
-                ModelCheck(system, "G !(crit1 & crit2)"),
-                ModelCheck(system, "G (try1 -> F crit1)"),
-            ]
-        )
-        assert report.executor == "serial"
-        assert all(result.ok for result in report.results)
+        with engine:
+            report = engine.run(
+                [
+                    ModelCheck(trivial_mutex(), "G !(crit1 & crit2)"),
+                    ClassifyFormula("G p"),
+                    ClassifyFormula("F q"),
+                ]
+            )
+            after = engine.classify_formulas(["G p", "F G q"])
+        assert report.executor == "process"
+        checked, *mates = report.results
+        assert checked.status == "error" and not checked.ok
+        assert "pickle" in checked.error
+        assert [r.value.canonical_class.value for r in mates] == ["safety", "guarantee"]
+        assert all(r.ok for r in after.results)
+
+
+class TestPersistentPool:
+    def test_ten_batches_start_max_workers_workers_and_close_joins_them(self):
+        from repro.engine.metrics import METRICS
+
+        started = METRICS.counter("census.pool.workers_started")
+        before = started.value
+        engine = fresh_engine(executor="process", max_workers=2)
+        for round_ in range(10):
+            report = engine.classify_formulas(["G p", f"F q{round_}", "G F r"])
+            assert report.executor == "process"
+            assert all(r.ok for r in report.results)
+        assert started.value - before == 2
+        workers = [slot.process for slot in engine._pool._slots]
+        assert len(workers) == 2 and all(w.is_alive() for w in workers)
+        engine.close()
+        assert all(w.exitcode is not None for w in workers)
+        assert engine._pool is None
+
+    def test_a_worker_death_fails_only_its_job(self, monkeypatch):
+        # Patched before the pool forks, so every worker inherits it.
+        original = ClassifyFormula.evaluate
+
+        def evaluate(self, bank):
+            if self.formula == "G crash":
+                os._exit(13)
+            return original(self, bank)
+
+        monkeypatch.setattr(ClassifyFormula, "evaluate", evaluate)
+        with fresh_engine(executor="process", max_workers=2) as engine:
+            report = engine.classify_formulas(["G p", "G crash", "F q", "G F p"])
+            after = engine.classify_formulas(["G p", "F G q"])
+        assert [r.status for r in report.results] == ["ok", "crashed", "ok", "ok"]
+        assert "exitcode 13" in report.results[1].error
+        assert [r.value.canonical_class.value for r in after.results] == [
+            "safety", "persistence",
+        ]
 
 
 class TestJobKinds:

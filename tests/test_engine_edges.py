@@ -1,14 +1,14 @@
-"""Edge cases in the evaluation engine: pool degradation, cache races, CLI.
+"""Edge cases in the evaluation engine: pool failures, cache races, CLI.
 
 The engine promises to never let infrastructure failures change results:
-a process pool that cannot pickle its jobs degrades to serial (recorded in
-the report and the ``engine.pool_fallbacks`` counter), and cache
-invalidation racing an in-flight batch only costs recomputation, never
-correctness.
+a job the process pool cannot pickle fails alone with a typed ``error``
+result while its batch-mates succeed, and cache invalidation racing an
+in-flight batch only costs recomputation, never correctness.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable
 
@@ -37,8 +37,23 @@ class ProbeJob(Job):
         return cache.get_or_compute(self.key_value, lambda: self.payload * 2)
 
 
+@dataclass(frozen=True)
+class LockJob(Job):
+    """Picklable itself, but its value (a lock) cannot travel back."""
+
+    n: int
+
+    def key(self) -> Hashable:
+        return ("lock", self.n)
+
+    def evaluate(self, bank: CacheBank) -> Any:
+        return threading.Lock()
+
+
 class TestProcessPoolFallback:
-    def test_non_picklable_jobs_degrade_to_serial(self):
+    """There is no serial fallback: a job the pool cannot run fails alone."""
+
+    def test_non_picklable_jobs_fail_alone_with_typed_errors(self):
         metrics = MetricsRegistry()
         engine = EvaluationEngine(
             executor="process", max_workers=2, bank=CacheBank(), metrics=metrics
@@ -56,12 +71,26 @@ class TestProcessPoolFallback:
             def evaluate(self, bank: CacheBank) -> Any:
                 return self.n + 1
 
-        report = engine.run([LocalJob(1), LocalJob(2), LocalJob(3)])
-        assert report.requested_executor == "process"
-        assert report.executor == "serial"
-        assert [r.value for r in report.results] == [2, 3, 4]
-        assert all(r.ok for r in report.results)
-        assert metrics.counter("engine.pool_fallbacks").value == 1
+        with engine:
+            report = engine.run([LocalJob(1), ProbeJob("mate", 4), LocalJob(3)])
+        assert report.executor == "process"
+        assert [r.status for r in report.results] == ["error", "ok", "error"]
+        assert report.results[1].value == 8
+        assert all("pickle" in r.error for r in report.failures)
+        assert metrics.counter("engine.job_errors").value == 2
+
+    def test_unpicklable_result_fails_alone_and_the_worker_lives_on(self):
+        from repro.engine.metrics import METRICS
+
+        started = METRICS.counter("census.pool.workers_started")
+        with EvaluationEngine(executor="process", max_workers=2, bank=CacheBank()) as engine:
+            report = engine.run([LockJob(1), ProbeJob("mate", 5)])
+            before = started.value
+            after = engine.run([ProbeJob("next", 1), ProbeJob("last", 2)])
+        assert [r.status for r in report.results] == ["error", "ok"]
+        assert "pickle" in report.results[0].error
+        assert [r.value for r in after.results] == [2, 4]
+        assert started.value == before  # no worker died, none was replaced
 
     def test_single_job_short_circuits_to_serial_without_fallback(self):
         metrics = MetricsRegistry()
@@ -71,7 +100,7 @@ class TestProcessPoolFallback:
         report = engine.run([ProbeJob("solo", 21)])
         assert report.executor == "serial"
         assert report.results[0].value == 42
-        assert metrics.counter("engine.pool_fallbacks").value == 0
+        assert engine._pool is None
 
 
 class TestCacheInvalidationMidBatch:

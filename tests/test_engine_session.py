@@ -82,11 +82,13 @@ class TestCLI:
         assert "caches:" in out
         assert "hit_rate" in out
 
-    def test_engine_command_thread_executor(self, tmp_path, capsys):
+    def test_engine_command_process_executor(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
-        spec.write_text("G p\nF q\nG (p -> F q)\n")
-        assert main(["engine", str(spec), "--executor", "thread", "--jobs", "2"]) == 0
-        assert "jobs:        3" in capsys.readouterr().out
+        spec.write_text("G p\nF q\nG (p -> F q)\nG F X a -> G F b\n")
+        assert main(["engine", str(spec), "--executor", "process", "--jobs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "jobs:        4" in out
+        assert "executor:    process\n" in out
 
     def test_classify_batch(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"

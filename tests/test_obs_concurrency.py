@@ -1,9 +1,8 @@
 """Span parenting and metrics merging across the engine's executors.
 
-Satellite coverage: thread pools re-activate the captured span context,
-process pools ship span payloads and metrics deltas back for re-stitching,
-and the JSONL export of a parallel run is deterministic despite unaligned
-per-process clocks.
+Process-pool workers ship span payloads and metrics deltas back for
+re-stitching under the batch span, and the JSONL export of a parallel run
+is deterministic despite unaligned per-process clocks.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ def tracing():
 
 
 def _run(executor: str, tracing):
-    engine = EvaluationEngine(executor=executor, max_workers=2)
-    report = engine.run(list(JOBS))
+    with EvaluationEngine(executor=executor, max_workers=2) as engine:
+        report = engine.run(list(JOBS))
     assert not report.failures
     assert report.executor == executor
     return engine, tracing.finished()
@@ -48,13 +47,6 @@ def _check_tree(spans):
     assert len({s.trace_id for s in spans}) == 1
     by_id = {s.span_id for s in spans}
     assert all(s.parent_id in by_id for s in spans if s.parent_id is not None)
-
-
-def test_thread_executor_preserves_span_parentage(tracing):
-    _, spans = _run("thread", tracing)
-    _check_tree(spans)
-    jobs = [s for s in spans if s.name == "engine.job"]
-    assert {job.attributes["executor"] for job in jobs} == {"thread"}
 
 
 def test_process_executor_restitches_worker_spans(tracing):
@@ -82,7 +74,7 @@ def test_process_executor_merges_worker_metrics(tracing):
 
 
 def test_parallel_jsonl_export_is_deterministic(tracing):
-    _, spans = _run("thread", tracing)
+    _, spans = _run("process", tracing)
     lines = jsonl_lines(spans)
     assert validate_jsonl_lines(lines) == []
     # Re-exporting a shuffled copy yields byte-identical output.

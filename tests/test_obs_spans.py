@@ -95,24 +95,6 @@ def test_payload_round_trip(tracer):
     assert restored.duration == pytest.approx(original.duration)
 
 
-def test_activate_parents_spans_under_foreign_context(tracer):
-    context = SpanContext(trace_id="tX", span_id="remote-1")
-    with tracer.activate(context):
-        with tracer.span("child"):
-            pass
-    [child] = tracer.finished()
-    assert child.parent_id == "remote-1"
-    assert child.trace_id == "tX"
-
-
-def test_activate_none_is_noop(tracer):
-    with tracer.activate(None):
-        with tracer.span("root"):
-            pass
-    [root] = tracer.finished()
-    assert root.parent_id is None
-
-
 def test_capture_returns_active_context(tracer):
     assert tracer.capture() is None
     with tracer.span("open") as s:

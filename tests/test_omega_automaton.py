@@ -152,3 +152,24 @@ class TestAlgebra:
     def test_pair_helpers(self):
         pair = Pair.of([1], [2])
         assert pair.left == {1} and pair.right == {2}
+
+
+class TestPickling:
+    def test_report_with_dense_backend_round_trips(self):
+        # G F X a -> G F b compiles to 112 states over 4 letters, which takes
+        # the dense CycleBackend; its cached module must not reach pickle.
+        import pickle
+
+        from repro import classify_formula, parse_formula
+
+        report = classify_formula(parse_formula("G F X a -> G F b"))
+        assert report.automaton.__dict__.get("_wagner_backends")
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy.summary() == report.summary()
+        assert copy.semantic.membership == report.semantic.membership
+        original, restored = report.automaton, copy.automaton
+        assert restored._delta == original._delta
+        assert restored.initial == original.initial
+        assert restored.acceptance == original.acceptance
+        assert restored.equivalent_to(original)
+        assert "_wagner_backends" not in restored.__dict__

@@ -8,6 +8,7 @@ the persistent store without re-deriving GPVW/Safra work.
 """
 
 import json
+import os
 import socket
 import threading
 import time
@@ -309,3 +310,46 @@ class TestRestartDurability:
         assert "server closed the connection" in str(excinfo.value)
         assert excinfo.value.retryable
         client.close()
+
+
+class TestProcessExecutor:
+    def test_a_worker_crash_fails_one_request_and_the_server_keeps_serving(
+        self, monkeypatch
+    ):
+        from repro.engine.batch import ClassifyFormula
+
+        # Patched before the server starts: its pool forks then, so every
+        # worker inherits the poison.
+        original = ClassifyFormula.evaluate
+
+        def evaluate(self, bank):
+            if "poison" in repr(self.formula):
+                os._exit(13)
+            return original(self, bank)
+
+        monkeypatch.setattr(ClassifyFormula, "evaluate", evaluate)
+        metrics = MetricsRegistry()
+        handle = start_in_thread(
+            ServerConfig(port=0, window_ms=300.0, executor="process", max_workers=2),
+            metrics=metrics,
+        )
+        try:
+            with ServeClient.connect(port=handle.port) as client:
+                # One batching window: the poisoned request and two mates.
+                ids = [
+                    client.send("classify", formula=text)
+                    for text in ("G p", "G poison", "F q")
+                ]
+                safe, poisoned, mate = (client.recv_for(i) for i in ids)
+                assert poisoned["ok"] is False
+                assert poisoned["error"]["code"] == "evaluation"
+                assert poisoned["error"]["retryable"] is False
+                assert "exitcode 13" in poisoned["error"]["message"]
+                assert safe["ok"] and safe["result"]["class"] == "safety"
+                assert mate["ok"] and mate["result"]["class"] == "guarantee"
+                assert metrics.histogram("serve.batch_size").observations == 1
+                later = client.classify("G F r")
+                assert later["class"] == "recurrence"
+        finally:
+            handle.stop()
+        assert not handle.thread.is_alive()

@@ -133,3 +133,14 @@ def test_safra_on_random_nbas(seed):
     dra = determinize(nba)
     for word in LASSOS[:40]:
         assert dra.accepts(word) == nba.accepts(word), word
+
+
+def test_deep_tableau_expansion_does_not_recurse():
+    # A small formula whose tableau runs thousands of expansion steps deep:
+    # a recursive expansion overflowed the interpreter stack here.
+    text = "(((!a W true) W (!a U a)) W ((true U a) U (a U a)))"
+    formula = parse_formula(text)
+    nba = formula_to_nba(formula, AB)
+    assert nba.num_states > 1000
+    for lasso in LASSOS[:40]:
+        assert nba.accepts(lasso) == satisfies(lasso, formula), lasso
