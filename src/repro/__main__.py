@@ -40,8 +40,9 @@ fuzz [--seed N] [--budget N]          differential fuzzing of the four views;
 bench [--quick] [--out F] [--check F] time the dense fastpath kernels against
                                       the reference routes; write/gate a
                                       JSON report (see docs/PERFORMANCE.md)
-bench --obs [--out F]                 measure span-tracing overhead on the
-                                      same kernels; gate it below 5%
+bench --obs [--out F]                 measure span-tracing overhead on
+                                      classify, nonempty_states and a product
+                                      emptiness check; gate it below 5%
 bench --obs --serve                   …plus the end-to-end telemetry A/B
                                       (tracing + sidecar + recorder vs
                                       off); gate it below 10%
@@ -287,6 +288,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.bench import (
         BENCHMARKS,
+        WORKLOADS,
         regressions_against,
         render_table,
         report_json,
@@ -296,9 +298,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.repeat < 1:
         print("error: --repeat must be at least 1", file=sys.stderr)
         return 2
+    kernels = WORKLOADS if args.obs else BENCHMARKS
     for name in args.kernel or ():
-        if name not in BENCHMARKS:
-            known = ", ".join(BENCHMARKS)
+        if name not in kernels:
+            known = ", ".join(kernels)
             print(f"error: unknown kernel '{name}' (known: {known})", file=sys.stderr)
             return 2
     if args.obs:

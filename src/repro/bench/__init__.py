@@ -4,7 +4,8 @@
 and writes ``BENCH_fastpath.json``; the CI ``bench-smoke`` job re-runs a
 quick variant and gates on :func:`repro.bench.fastpath.regressions_against`.
 ``python -m repro bench --obs`` runs
-:func:`repro.bench.obs.run_overhead_benchmarks` over the same workloads and
+:func:`repro.bench.obs.run_overhead_benchmarks` over those workloads plus
+two single-route kernels (:data:`repro.bench.fastpath.WORKLOADS`) and
 writes ``BENCH_obs.json``, gating tracing overhead below
 :data:`repro.bench.obs.MAX_OVERHEAD`.
 ``python -m repro bench --fleet`` runs
@@ -16,6 +17,7 @@ monitor loop, streams·events/sec) and writes ``BENCH_fleet.json``; the CI
 
 from repro.bench.fastpath import (
     BENCHMARKS,
+    WORKLOADS,
     KernelResult,
     regressions_against,
     render_table,
@@ -36,6 +38,7 @@ __all__ = [
     "KernelResult",
     "MAX_OVERHEAD",
     "ObsResult",
+    "WORKLOADS",
     "overhead_failures",
     "run_fleet_benchmarks",
     "regressions_against",

@@ -1,8 +1,11 @@
 """Fastpath kernel benchmarks: reference route vs dense route, same inputs.
 
-Every workload is deterministic (fixed seeds, fixed sizes) and large enough
-to clear the ``auto`` threshold, so the two timed routes differ only in the
-kernel that runs.  Methodology:
+Every workload is deterministic (fixed seeds, fixed sizes).  The route
+A/B (:data:`BENCHMARKS`) times ``classify``, whose GPVW, Safra and quotient
+stages clear the ``auto`` threshold, so the two timed routes differ only in
+the kernels that run.  ``product_emptiness`` and ``nonempty`` have a single
+route; they stay in :data:`WORKLOADS` because ``bench --obs`` times them as
+one-span kernels.  Methodology:
 
 * reference and dense runs are *interleaved*, with ``gc.collect()`` before
   every timed region — a collection triggered by one route's garbage must
@@ -10,9 +13,8 @@ kernel that runs.  Methodology:
   0.7× "regression" for a kernel that profiles 2× faster);
 * the per-route time is the minimum over ``--repeat`` runs (minimum, not
   mean: noise on a quiet machine is strictly additive);
-* each run re-checks that the two routes agree (verdicts/sets equal for
-  the emptiness kernels, reports and automata equal for ``classify``)
-  before its timing is accepted.
+* each run re-checks that the two routes agree (reports and automata
+  equal) before its timing is accepted.
 
 The JSON report (``BENCH_fastpath.json`` at the repo root) is the committed
 baseline the CI ``bench-smoke`` job compares against; see
@@ -60,7 +62,7 @@ class KernelResult:
 
 @dataclass(frozen=True)
 class _Workload:
-    """A prepared benchmark: a thunk to time and an agreement check."""
+    """A prepared workload: a thunk to time and an agreement check."""
 
     description: str
     run: Callable[[], object]
@@ -112,9 +114,8 @@ def _product_emptiness_workload(quick: bool) -> _Workload:
 def _nonempty_workload(quick: bool) -> _Workload:
     from repro.omega.emptiness import nonempty_states
 
-    # Deliberately not scaled down for --quick: the workload is cheap, and
-    # at small sizes the SCC pruning resolves before the dense route can
-    # amortize its setup, which would make the smoke gate flaky.
+    # Not scaled down for --quick: the workload is cheap, and the tracing
+    # gate needs a run long enough to resolve one span's cost.
     n = 3000
     aut = _streett_automaton(random.Random(5), n, 3, 0.001, 0.3)
     return _Workload(
@@ -170,10 +171,16 @@ def _classify_workload(quick: bool) -> _Workload:
     )
 
 
-#: Kernel name → workload factory, in report order.
-BENCHMARKS: Mapping[str, Callable[[bool], _Workload]] = {
+#: Workload name → factory, in report order: every workload ``bench --obs``
+#: times for tracing overhead.
+WORKLOADS: Mapping[str, Callable[[bool], _Workload]] = {
     "product_emptiness": _product_emptiness_workload,
     "nonempty": _nonempty_workload,
+    "classify": _classify_workload,
+}
+
+#: The workloads with a dense and a reference route: the ``bench`` A/B.
+BENCHMARKS: Mapping[str, Callable[[bool], _Workload]] = {
     "classify": _classify_workload,
 }
 

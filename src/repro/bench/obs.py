@@ -4,7 +4,7 @@ The observability layer promises that instrumentation is effectively free:
 spans wrap *operations* (one determinization, one emptiness check), never
 per-state work, and the disabled path costs a single flag check.  This
 module proves the promise with numbers, reusing the fastpath benchmark
-workloads (:data:`repro.bench.fastpath.BENCHMARKS`) so the measured code is
+workloads (:data:`repro.bench.fastpath.WORKLOADS`) so the measured code is
 exactly the code users run.
 
 Methodology mirrors :mod:`repro.bench.fastpath`, with one addition — a
@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.bench.fastpath import BENCHMARKS
+from repro.bench.fastpath import WORKLOADS
 from repro.fastpath.config import forced
 from repro.obs.spans import TRACER
 
@@ -137,10 +137,10 @@ def run_overhead_benchmarks(
     *, quick: bool = False, repeat: int = 5, kernels: Sequence[str] | None = None
 ) -> list[ObsResult]:
     """Time every selected kernel with tracing off and on."""
-    selected = list(kernels) if kernels else list(BENCHMARKS)
+    selected = list(kernels) if kernels else list(WORKLOADS)
     results = []
     for name in selected:
-        workload = BENCHMARKS[name](quick)
+        workload = WORKLOADS[name](quick)
         untraced_ms, traced_ms, spans, noise = _time_interleaved(workload, repeat)
         results.append(
             ObsResult(

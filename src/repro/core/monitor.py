@@ -164,17 +164,11 @@ class PrefixMonitor:
     def always_decides(self) -> bool:
         """Does *every* infinite word reach a final verdict?  True exactly
         for clopen properties: the pending region must be transient."""
-        from repro.omega.graph import is_nontrivial_component, restricted_sccs
+        from repro.omega.graph import cyclic_sccs
 
         pending = frozenset(
             state
             for state in self.automaton.reachable
             if state in self._live and state in self._colive
         )
-        for scc in restricted_sccs(pending, self.automaton.successors):
-            internal = lambda s, inside=frozenset(scc): [
-                t for t in self.automaton.successors(s) if t in inside
-            ]
-            if is_nontrivial_component(scc, internal):
-                return False
-        return True
+        return not cyclic_sccs(pending, self.automaton.successors)

@@ -281,14 +281,14 @@ class BatchReport:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate_job(job: Job, bank: CacheBank, metrics: MetricsRegistry) -> tuple:
+def _evaluate_job(job: Job, bank: CacheBank) -> tuple:
     """``(status, value, error, seconds)`` for one job; a raising job is a
-    failed outcome, never a failed batch."""
+    failed outcome, never a failed batch.  The caller counts failures, so a
+    worker's failure is counted once whether or not its metrics ship home."""
     start = time.perf_counter()
     try:
         return "ok", job.evaluate(bank), None, time.perf_counter() - start
     except Exception as exc:  # noqa: BLE001 — batch jobs must not kill the batch
-        metrics.counter("engine.job_errors").inc()
         error = f"{type(exc).__name__}: {exc}"
         annotate("error", error)
         return "error", None, error, time.perf_counter() - start
@@ -298,7 +298,7 @@ def _pool_task(payload: tuple) -> tuple:
     """Pool worker: one job on the worker's own cache bank, traced home."""
     job, parent = payload
     return run_shipped(
-        parent, "engine.job", _evaluate_job, job, CACHES, METRICS,
+        parent, "engine.job", _evaluate_job, job, CACHES,
         kind=job.kind, executor="process",
     )
 
@@ -415,6 +415,9 @@ class EvaluationEngine:
             unique_order.append(job)
 
         executor_used, outcomes = self._evaluate(unique_order)
+        failed = sum(outcome[0] != "ok" for outcome in outcomes)
+        if failed:
+            self.metrics.counter("engine.job_errors").inc(failed)
 
         # Each outcome is (status, value, error, seconds), JobResult's order;
         # later copies of a deduplicated job are flagged, never the first.
@@ -433,7 +436,7 @@ class EvaluationEngine:
             outcomes = []
             for job in unique_jobs:
                 with TRACER.span("engine.job", kind=job.kind, executor="serial"):
-                    outcomes.append(_evaluate_job(job, self.bank, self.metrics))
+                    outcomes.append(_evaluate_job(job, self.bank))
             return "serial", outcomes
         self.start()
         # Workers cannot see this span context: its ids travel with each job.
@@ -446,7 +449,6 @@ class EvaluationEngine:
         """A pool outcome as ``(status, value, error, seconds)``; a task the
         pool failed (unpicklable, worker died) keeps the pool's status."""
         if not outcome.ok:
-            self.metrics.counter("engine.job_errors").inc()
             return outcome.status, None, outcome.error, outcome.wall_seconds
         result, spans, metrics_delta = outcome.result
         adopt_shipped(spans, metrics_delta, parent, self.metrics)

@@ -1,14 +1,12 @@
 """Fastpath route selection: one size rule, and one override for tests.
 
-The six ω kernels (GPVW, Safra, quotient, emptiness, product, Wagner) each
-keep a reference route and a dense route.  :func:`dense_route` picks the
-dense one when the call's work estimate reaches :data:`DENSE_MIN_WORK`.
-"Work units" are ``states × |Σ|`` for single-automaton kernels and the
-product of the state counts times ``|Σ|`` for product kernels — a proxy
-for the table size the kernel will touch.  Small inputs are faster on the
-reference route (cheaper set-up), large ones on the dense route.  The corpus
-reaches both sides for GPVW, Safra and quotient only; the emptiness, product
-and Wagner dense routes run under the tests and the qa oracle alone.
+Three ω constructions (GPVW, Safra, quotient) each keep a reference route
+and a dense route.  :func:`dense_route` picks the dense one when the call's
+work estimate reaches :data:`DENSE_MIN_WORK`.  "Work units" are
+``states × |Σ|`` (Safra: ``states² × |Σ|``) — a proxy for the table size
+the kernel will touch.  Small inputs are faster on the reference route
+(cheaper set-up), large ones on the dense route, and the corpus reaches
+both sides for all three.
 
 :func:`forced` pins one route for a block; the qa ``fastpath`` oracle and
 the benchmark harness use it to run both routes on the same input.

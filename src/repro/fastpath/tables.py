@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.words.alphabet import Alphabet
-
 
 def flat_table(rows: Sequence[Sequence[int]]) -> list[int]:
     """Flatten a row-per-state table into one row-major list."""
@@ -21,20 +19,3 @@ def flat_table(rows: Sequence[Sequence[int]]) -> list[int]:
         flat.extend(row)
     return flat
 
-
-def flat_table_over(
-    rows: Sequence[Sequence[int]], own: Alphabet, base: Alphabet
-) -> list[int]:
-    """Flatten ``rows`` with columns re-ordered to ``base``'s symbol order.
-
-    Product kernels iterate symbols in the *first* automaton's alphabet
-    order; each other automaton's table must present its columns in that
-    same order (the alphabets contain the same symbols, possibly permuted).
-    """
-    if own is base or own.symbols == base.symbols:
-        return flat_table(rows)
-    columns = [own.index(symbol) for symbol in base]
-    flat: list[int] = []
-    for row in rows:
-        flat.extend(row[column] for column in columns)
-    return flat

@@ -59,9 +59,9 @@ class DetAutomaton:
     ) -> DetAutomaton:
         """Construct without re-validating the table.
 
-        For rows produced by in-tree exploration (``explore``, the fastpath
-        product kernels), which are complete and in-range by construction;
-        skips the ``O(n·|Σ|)`` validation pass of ``__init__``.
+        For rows produced by in-tree exploration (``explore``, the dense
+        Safra twin, label expansion), which are complete and in-range by
+        construction; skips the ``O(n·|Σ|)`` validation pass of ``__init__``.
         """
         aut = cls.__new__(cls)
         aut.alphabet = alphabet
@@ -72,7 +72,7 @@ class DetAutomaton:
 
     def __getstate__(self) -> tuple:
         # Only the defining fields pickle; the derived caches in __dict__
-        # (one holds modules) are rebuilt on demand.
+        # (complement, adjacency, reachable set) are rebuilt on demand.
         return (self.alphabet, self._delta, self.initial, self.acceptance)
 
     def __setstate__(self, state: tuple) -> None:

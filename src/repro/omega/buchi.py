@@ -12,7 +12,7 @@ from collections import deque
 from collections.abc import Iterable
 
 from repro.errors import AutomatonError
-from repro.omega.graph import is_nontrivial_component, restricted_sccs
+from repro.omega.graph import cyclic_sccs
 from repro.words.alphabet import Alphabet, Symbol
 from repro.words.lasso import LassoWord
 
@@ -95,15 +95,11 @@ class NBA:
                     seen.add(key)
                     queue.append(key)
 
-        successors = lambda n: edges.get(n, ())
-        for scc in restricted_sccs(range(len(order)), successors):
-            scc_set = frozenset(scc)
-            internal = lambda n, inside=scc_set: [t for t in successors(n) if t in inside]
-            if not is_nontrivial_component(scc, internal):
-                continue
-            if any(order[n][0] in self.accepting for n in scc):
-                return True
-        return False
+        return any(
+            order[n][0] in self.accepting
+            for scc in cyclic_sccs(range(len(order)), lambda n: edges.get(n, ()))
+            for n in scc
+        )
 
     def is_empty(self) -> bool:
         """Classic NBA emptiness: a reachable accepting state on a cycle."""
@@ -120,13 +116,9 @@ class NBA:
                 if target not in reachable:
                     reachable.add(target)
                     queue.append(target)
-        successors = lambda s: edges.get(s, ())
-        for scc in restricted_sccs(reachable, successors):
-            scc_set = frozenset(scc)
-            internal = lambda s, inside=scc_set: [t for t in successors(s) if t in inside]
-            if is_nontrivial_component(scc, internal) and scc_set & self.accepting:
-                return False
-        return True
+        return not any(
+            scc & self.accepting for scc in cyclic_sccs(reachable, lambda s: edges.get(s, ()))
+        )
 
     def __repr__(self) -> str:
         return (

@@ -40,8 +40,8 @@ from repro.core.classes import TemporalClass, Verdict
 from repro.omega.acceptance import Kind
 from repro.omega.automaton import DetAutomaton
 from repro.omega.closure import closed_on, is_safety_closed
-from repro.omega.emptiness import CycleBackend, nonempty_states
-from repro.omega.graph import is_nontrivial_component, reachable_from
+from repro.omega.emptiness import nonempty_states, streett_good_components
+from repro.omega.graph import condensation, cyclic_sccs, is_nontrivial_component, reachable_from
 
 # ---------------------------------------------------------------------------
 # Semantic classification
@@ -60,23 +60,23 @@ def is_guarantee(aut: DetAutomaton) -> bool:
 
 def _streett_violations_of_recurrence(aut: DetAutomaton) -> bool:
     """Is there an accepting cycle inside a rejecting super-cycle? (Streett kind)"""
-    backend = CycleBackend.of(aut)
-    for pair in aut.acceptance.pairs:
-        for cycle in backend.cycles(aut.reachable - pair.left):
+    successors, pairs = aut.successors, aut.acceptance.pairs
+    for pair in pairs:
+        for cycle in cyclic_sccs(aut.reachable - pair.left, successors):
             # Inside P the super-cycle would still be accepting on this pair.
-            if not cycle <= pair.right and backend.good_components(cycle):
+            if not cycle <= pair.right and streett_good_components(cycle, successors, pairs):
                 return True
     return False
 
 
 def _streett_violations_of_persistence(aut: DetAutomaton) -> bool:
     """Is there a rejecting cycle inside an accepting super-cycle? (Streett kind)"""
-    backend = CycleBackend.of(aut)
+    successors, pairs = aut.successors, aut.acceptance.pairs
     return any(
         not cycle <= pair.right
-        for component in backend.good_components(aut.reachable)
-        for pair in aut.acceptance.pairs
-        for cycle in backend.cycles(component - pair.left)
+        for component in streett_good_components(aut.reachable, successors, pairs)
+        for pair in pairs
+        for cycle in cyclic_sccs(component - pair.left, successors)
     )
 
 
@@ -132,13 +132,15 @@ def _chain_lengths(aut: DetAutomaton) -> tuple[int, int]:
     """``(longest chain topped by an accepting cycle, … by a rejecting cycle)``
     over all reachable arenas of a Streett-kind automaton.  Chains are
     strictly decreasing and alternate acceptance."""
-    pairs = aut.acceptance.pairs
-    backend = CycleBackend.of(aut)
+    successors, pairs = aut.successors, aut.acceptance.pairs
 
     @lru_cache(maxsize=None)
     def top_accepting(arena: frozenset[int]) -> int:
         return max(
-            (1 + top_rejecting(component) for component in backend.good_components(arena)),
+            (
+                1 + top_rejecting(component)
+                for component in streett_good_components(arena, successors, pairs)
+            ),
             default=0,
         )
 
@@ -148,7 +150,7 @@ def _chain_lengths(aut: DetAutomaton) -> tuple[int, int]:
             (
                 1 + top_accepting(cycle)
                 for pair in pairs
-                for cycle in backend.cycles(arena - pair.left)
+                for cycle in cyclic_sccs(arena - pair.left, successors)
                 if not cycle <= pair.right
             ),
             default=0,
@@ -222,51 +224,28 @@ def obligation_degree(aut: DetAutomaton, verdict: Verdict | None = None) -> int 
     )
     if not obligation:
         return None
-    reachable = sorted(aut.reachable)
-    sccs = CycleBackend.of(aut).sccs(reachable)
-    label: dict[int, str] = {}
-    component_of: dict[int, int] = {}
-    component_sets: list[frozenset[int]] = []
-    for scc in sccs:
-        scc_set = frozenset(scc)
-        index = len(component_sets)
-        component_sets.append(scc_set)
-        for state in scc:
-            component_of[state] = index
-        internal = lambda s, inside=scc_set: [t for t in aut.successors(s) if t in inside]
-        if not is_nontrivial_component(scc, internal):
-            label[index] = "transient"
-        elif aut.acceptance.accepts_infinity_set(scc_set):
-            label[index] = "accepting"
+    dag = condensation(aut.reachable, aut.successors)
+    # best[i][seen]: the most completed (rejecting, later accepting) pairs
+    # along a path from component i, ``seen`` telling whether a rejecting
+    # component was passed with no accepting one since.  Successors have
+    # smaller indices, so index order is a valid DP order.
+    best: list[tuple[int, int]] = []
+    for index, component in enumerate(dag.components):
+        if not is_nontrivial_component(component, aut.successors):
+            kind = "transient"
+        elif aut.acceptance.accepts_infinity_set(frozenset(component)):
+            kind = "accepting"
         else:
-            label[index] = "rejecting"
+            kind = "rejecting"
+        row = []
+        for seen_rejecting in (False, True):
+            completes = kind == "accepting" and seen_rejecting
+            seen_next = not completes and (seen_rejecting or kind == "rejecting")
+            follow = max((best[target][seen_next] for target in dag.edges[index]), default=0)
+            row.append(int(completes) + follow)
+        best.append(tuple(row))
 
-    # DAG edges between distinct components.
-    edges: dict[int, set[int]] = {i: set() for i in range(len(component_sets))}
-    for state in reachable:
-        for target in aut.successors(state):
-            if target in component_of and component_of[target] != component_of[state]:
-                edges[component_of[state]].add(component_of[target])
-
-    # Longest alternation ending at each component: count completed
-    # (rejecting, later accepting) pairs along any path.
-    @lru_cache(maxsize=None)
-    def best(index: int, seen_rejecting: bool) -> int:
-        kind = label[index]
-        score = 0
-        if kind == "accepting" and seen_rejecting:
-            score = 1
-            seen_rejecting_next = False
-        else:
-            seen_rejecting_next = seen_rejecting or kind == "rejecting"
-        follow = max(
-            (best(target, seen_rejecting_next) for target in edges[index]),
-            default=0,
-        )
-        return score + follow
-
-    start = component_of[aut.initial]
-    degree = best(start, False)
+    degree = best[dag.component_of[aut.initial]][False]
     # A property with accepting behavior but no alternation still needs one
     # conjunct (A(Φ)∪E(∅) or similar) unless it is trivial.
     return max(degree, 1)
@@ -338,32 +317,25 @@ def is_obligation_shaped(aut: DetAutomaton, degree: int | None = None) -> bool:
     if aut.acceptance.kind is not Kind.STREETT:
         return False
     good, _ = _good_bad_split(aut)
-    reachable = sorted(aut.reachable)
-    sccs = CycleBackend.of(aut).sccs(reachable)
-    component_of: dict[int, int] = {}
-    mixed = False
-    for index, scc in enumerate(sccs):
-        for state in scc:
-            component_of[state] = index
-        if len({state in good for state in scc}) > 1:
-            mixed = True
-    if mixed:
+    dag = condensation(aut.reachable, aut.successors)
+    if any(len({state in good for state in scc}) > 1 for scc in dag.components):
         return False  # a single SCC mixing good and bad alternates unboundedly
 
-    edges: dict[int, set[int]] = {i: set() for i in range(len(sccs))}
-    for state in reachable:
-        for target in aut.successors(state):
-            edges[component_of[state]].add(component_of[target])
-            edges[component_of[state]].discard(component_of[state])
+    # alternations[i]: the most bad→good moves along a path from component
+    # i; successors have smaller indices, so index order is a DP order.
+    alternations: list[int] = []
+    for index, scc in enumerate(dag.components):
+        is_good = scc[0] in good
+        alternations.append(
+            max(
+                (
+                    (1 if not is_good and dag.components[target][0] in good else 0)
+                    + alternations[target]
+                    for target in dag.edges[index]
+                ),
+                default=0,
+            )
+        )
 
-    @lru_cache(maxsize=None)
-    def alternations(index: int) -> int:
-        is_good = sccs[index][0] in good
-        best = 0
-        for target in edges[index]:
-            step = 1 if (not is_good) and sccs[target][0] in good else 0
-            best = max(best, step + alternations(target))
-        return best
-
-    needed = max((alternations(component_of[q]) for q in [aut.initial]), default=0)
+    needed = alternations[dag.component_of[aut.initial]]
     return degree is None or needed <= degree

@@ -21,7 +21,7 @@ from repro.errors import ClassificationError
 from repro.finitary.language import FinitaryLanguage
 from repro.omega.acceptance import Acceptance, Kind, Pair
 from repro.omega.automaton import DetAutomaton
-from repro.omega.emptiness import CycleBackend, nonempty_states, streett_good_components
+from repro.omega.emptiness import accepts_cycle_within, nonempty_states, streett_good_components
 from repro.omega.graph import can_reach
 from repro.words.alphabet import Symbol
 
@@ -58,7 +58,7 @@ def closed_on(region: frozenset[int], dual: DetAutomaton) -> bool:
     can reach it and is therefore live.  So ``cl(Π) ⊆ Π`` iff ``dual``
     accepts no cycle inside ``region``.
     """
-    return not CycleBackend.of(dual).accepts_cycle_within(region)
+    return not accepts_cycle_within(dual, region)
 
 
 def is_safety_closed(aut: DetAutomaton) -> bool:

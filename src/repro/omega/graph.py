@@ -1,4 +1,4 @@
-"""Graph utilities for ω-automata: SCCs, cycles, reachability.
+"""Graph utilities for ω-automata: SCCs, the SCC DAG, cycles, reachability.
 
 The "cycles" of the paper (§5) are sets of states ``C`` admitting a cyclic
 path through *all* of them — exactly the non-trivial strongly connected
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import NamedTuple
 
 
 def strongly_connected_components(
@@ -93,6 +94,49 @@ def is_nontrivial_component(
     return state in set(successors(state))
 
 
+def cyclic_sccs(
+    states: Iterable[int], successors: Callable[[int], Iterable[int]]
+) -> list[frozenset[int]]:
+    """The SCCs of the subgraph induced by ``states`` that carry a cycle,
+    in reverse topological order."""
+    return [
+        frozenset(component)
+        for component in restricted_sccs(states, successors)
+        if is_nontrivial_component(component, successors)
+    ]
+
+
+class Condensation(NamedTuple):
+    """The SCC DAG of an induced subgraph.
+
+    ``components`` come in Tarjan's reverse topological order, so every
+    edge in ``edges[i]`` enters a component with a smaller index: a DP over
+    the DAG runs in index order, with no recursion however long its paths.
+    """
+
+    components: list[list[int]]
+    component_of: dict[int, int]
+    edges: list[set[int]]
+
+
+def condensation(
+    states: Iterable[int], successors: Callable[[int], Iterable[int]]
+) -> Condensation:
+    """The SCC DAG of the subgraph induced by ``states``."""
+    components = restricted_sccs(states, successors)
+    component_of = {
+        state: index for index, component in enumerate(components) for state in component
+    }
+    edges: list[set[int]] = [set() for _ in components]
+    for index, component in enumerate(components):
+        for state in component:
+            for target in successors(state):
+                other = component_of.get(target)
+                if other is not None and other != index:
+                    edges[index].add(other)
+    return Condensation(components, component_of, edges)
+
+
 def is_cycle_set(states: Iterable[int], successors: Callable[[int], Iterable[int]]) -> bool:
     """The paper's notion of *cycle*: a cyclic path visits exactly ``states``.
 
@@ -105,7 +149,7 @@ def is_cycle_set(states: Iterable[int], successors: Callable[[int], Iterable[int
     components = restricted_sccs(members, successors)
     if len(components) != 1 or set(components[0]) != members:
         return False
-    return is_nontrivial_component(components[0], lambda s: (t for t in successors(s) if t in members))
+    return is_nontrivial_component(components[0], successors)
 
 
 def reachable_from(

@@ -26,7 +26,7 @@ from repro.omega.acceptance import Acceptance, Kind
 from repro.omega.automaton import DetAutomaton
 from repro.omega.closure import live_states
 from repro.omega.emptiness import streett_good_components
-from repro.omega.graph import is_nontrivial_component, restricted_sccs
+from repro.omega.graph import cyclic_sccs
 from repro.words.alphabet import Symbol
 
 _TRAP = "normalized-trap"
@@ -163,13 +163,8 @@ def to_obligation_automaton(aut: DetAutomaton) -> DetAutomaton:
     if not classify_mod.is_obligation(aut):
         raise ClassificationError("property is not an obligation property")
     trimmed = aut.trim()
-    sccs = restricted_sccs(range(trimmed.num_states), trimmed.successors)
     accepting_states: set[int] = set()
-    for scc in sccs:
-        scc_set = frozenset(scc)
-        internal = lambda s, inside=scc_set: [t for t in trimmed.successors(s) if t in inside]
-        if not is_nontrivial_component(scc, internal):
-            continue
+    for scc_set in cyclic_sccs(trimmed.states, trimmed.successors):
         # Obligation ⟹ all cycles of the SCC agree with the full SCC cycle.
         if trimmed.acceptance.accepts_infinity_set(scc_set):
             accepting_states |= scc_set

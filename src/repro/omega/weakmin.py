@@ -18,7 +18,7 @@ from repro.errors import ClassificationError
 from repro.omega.acceptance import Acceptance
 from repro.omega.automaton import DetAutomaton
 from repro.omega.emptiness import _covering_loop, _word_between
-from repro.omega.graph import is_nontrivial_component, restricted_sccs
+from repro.omega.graph import cyclic_sccs
 from repro.words.lasso import LassoWord
 
 
@@ -72,11 +72,7 @@ def minimal_weak_automaton(aut: DetAutomaton) -> DetAutomaton:
 
     # Acceptance per SCC: loop a covering cycle and ask the original automaton.
     accepting_states: set[int] = set()
-    for scc in restricted_sccs(range(quotient.num_states), quotient.successors):
-        scc_set = frozenset(scc)
-        internal = lambda s, inside=scc_set: [t for t in quotient.successors(s) if t in inside]
-        if not is_nontrivial_component(scc, internal):
-            continue
+    for scc_set in cyclic_sccs(quotient.states, quotient.successors):
         anchor, loop = _covering_loop(quotient, scc_set)
         stem = _word_between(quotient, 0, anchor, None)
         assert stem is not None

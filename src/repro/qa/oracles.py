@@ -21,7 +21,7 @@ normal-form laws (:func:`repro.logic.rewrite.normalize`) against the raw
 GPVW → Safra automaton of the formula they rewrite.
 
 Two more cover the execution engines rather than the views: ``fastpath``
-(dense kernels vs. the audited reference routes) and ``fleet`` (the
+(the dense Safra, GPVW and quotient twins vs. the audited reference routes) and ``fleet`` (the
 vectorized monitor fleet vs. a loop of scalar ``PrefixMonitor``\\ s,
 verdict vectors compared at every batch boundary).
 
@@ -594,7 +594,7 @@ class AutomatonOracle(Oracle):
 
 
 # ---------------------------------------------------------------------------
-# 5. Dense fastpath kernels vs. the audited reference routes
+# 5. Dense fastpath constructions vs. the audited reference routes
 # ---------------------------------------------------------------------------
 
 
@@ -628,30 +628,28 @@ def _nba_from_json(data: dict[str, Any], alphabet: Alphabet):
 
 
 class FastpathOracle(Oracle):
-    """Every dense ω kernel against its reference twin, on one random subject.
+    """Every dense ω construction against its reference twin, on one random
+    subject.
 
     The contract being checked is the fastpath parity contract
     (``docs/PERFORMANCE.md``): Safra determinization, the GPVW tableau and
     quotient reduction must return *structurally identical* automata, and
-    label compression must round-trip; the emptiness and product kernels
-    must return identical state sets and verdicts (witness components may
-    legitimately differ).
+    label compression must round-trip.
     """
 
     name = "fastpath"
-    routes = ("reference kernels", "dense bitset kernels")
+    routes = ("reference kernels", "dense kernels")
 
     def generate(self, rng: random.Random, config: GeneratorConfig):
         from repro.qa.generate import random_nba
 
         # Mostly small ω-automata; occasionally a few hundred states, so the
-        # dense SCC pruning also runs deep on a large graph.
+        # quotient's dense route also runs on a large graph.
         size = rng.randrange(200, 256) if rng.random() < 0.15 else None
-        aut_a = random_det_automaton(rng, config.alphabet, size or config.max_states, config.max_pairs)
-        aut_b = random_det_automaton(rng, config.alphabet, config.max_states, config.max_pairs)
+        aut = random_det_automaton(rng, config.alphabet, size or config.max_states, config.max_pairs)
         nba = random_nba(rng, config.alphabet, 8)
         formula = random_formula(rng, config.propositions, config.max_depth)
-        return aut_a, aut_b, rng.random() < 0.5, nba, formula
+        return aut, nba, formula
 
     @staticmethod
     def _same_det(a, b) -> bool:
@@ -665,26 +663,22 @@ class FastpathOracle(Oracle):
         from repro.fastpath.config import forced
         from repro.fastpath.labels import compress_det, expand_det
         from repro.logic.translate import formula_to_nba
-        from repro.omega.emptiness import ProductCheck, nonempty_states
         from repro.omega.reduce import quotient_reduce
         from repro.omega.safra import determinize
 
-        aut_a, aut_b, complemented, nba, formula = subject
+        aut, nba, formula = subject
 
         def views():
             return (
                 determinize(nba),
                 formula_to_nba(formula, nba.alphabet),
-                quotient_reduce(aut_a),
-                nonempty_states(aut_a),
-                ProductCheck([aut_a, aut_b], [False, complemented]).witness_component()
-                is None,
+                quotient_reduce(aut),
             )
 
         with forced("off"):
-            dra_ref, nba_ref, quotient_ref, nonempty_ref, empty_ref = views()
+            dra_ref, nba_ref, quotient_ref = views()
         with forced("on"):
-            dra_fast, nba_fast, quotient_fast, nonempty_fast, empty_fast = views()
+            dra_fast, nba_fast, quotient_fast = views()
 
         if not self._same_det(dra_ref, dra_fast):
             return "safra: dense determinization not structurally identical"
@@ -700,25 +694,13 @@ class FastpathOracle(Oracle):
         restored = expand_det(*compress_det(dra_ref))
         if not self._same_det(dra_ref, restored):
             return "labels: expand(compress(A)) not structurally identical to A"
-        if nonempty_ref != nonempty_fast:
-            return (
-                f"nonempty_states: reference {sorted(nonempty_ref)} !="
-                f" dense {sorted(nonempty_fast)}"
-            )
-        if empty_ref != empty_fast:
-            return (
-                f"product emptiness verdict: reference empty={empty_ref},"
-                f" dense empty={empty_fast}"
-            )
         return None
 
     def to_artifact(self, subject) -> dict[str, Any]:
-        aut_a, aut_b, complemented, nba, formula = subject
+        aut, nba, formula = subject
         return {
-            "aut_a": to_hoa(aut_a),
-            "aut_b": to_hoa(aut_b),
-            "letters": "".join(str(s) for s in aut_a.alphabet),
-            "complemented": complemented,
+            "automaton": to_hoa(aut),
+            "letters": "".join(str(s) for s in aut.alphabet),
             "nba": _nba_to_json(nba),
             "formula": repr(formula),
         }
@@ -726,19 +708,16 @@ class FastpathOracle(Oracle):
     def from_artifact(self, artifact):
         alphabet = Alphabet.from_letters(artifact["letters"])
         return (
-            from_hoa(artifact["aut_a"], alphabet=alphabet),
-            from_hoa(artifact["aut_b"], alphabet=alphabet),
-            artifact["complemented"],
+            from_hoa(artifact["automaton"], alphabet=alphabet),
             _nba_from_json(artifact["nba"], alphabet),
             parse_formula(artifact["formula"]),
         )
 
     def describe(self, subject) -> str:
-        aut_a, aut_b, complemented, nba, formula = subject
+        aut, nba, formula = subject
         return (
-            f"ω-automata {aut_a.num_states}/{aut_b.num_states} states,"
-            f" NBA {nba.num_states} states, formula {formula!r},"
-            f" complemented={complemented}"
+            f"ω-automaton {aut.num_states} states,"
+            f" NBA {nba.num_states} states, formula {formula!r}"
         )
 
 

@@ -79,9 +79,9 @@ class TestExecutors:
         assert report.executor == "serial"
         assert engine._pool is None  # no pool for a batch it would not use
 
-    def test_dense_backend_report_comes_home_from_a_worker(self):
-        # The 112-state automaton of the first formula takes the dense
-        # CycleBackend, whose cache holds a module; its report must still
+    def test_large_automaton_report_comes_home_from_a_worker(self):
+        # The first formula compiles to a 112-state automaton whose
+        # classification leaves derived caches on it; its report must still
         # pickle back from the worker instead of failing the batch.
         formulas = ["G F X a -> G F b", "G p", "F q"]
         serial = fresh_engine().classify_formulas(formulas)
@@ -112,6 +112,38 @@ class TestExecutors:
         assert "pickle" in checked.error
         assert [r.value.canonical_class.value for r in mates] == ["safety", "guarantee"]
         assert all(r.ok for r in after.results)
+
+
+class TestJobErrorCount:
+    FORMULAS = ["G (p", "G p", "F q"]
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_a_worker_error_is_counted_once(self, traced):
+        from repro.engine.cache import CACHES
+        from repro.engine.metrics import MetricsRegistry
+        from repro.obs.spans import TRACER
+
+        serial = MetricsRegistry()
+        fresh_engine(metrics=serial).classify_formulas(self.FORMULAS)
+        # Forked workers inherit the global cache; a warm one would skip the
+        # work whose metrics the traced run ships home.
+        CACHES.clear()
+        metrics = MetricsRegistry()
+        if traced:
+            TRACER.enable()
+        try:
+            with fresh_engine(executor="process", max_workers=2, metrics=metrics) as engine:
+                report = engine.classify_formulas(self.FORMULAS)
+        finally:
+            TRACER.disable()
+            TRACER.clear()
+        assert report.executor == "process"
+        assert [r.status for r in report.results] == ["error", "ok", "ok"]
+        counters = metrics.snapshot()["counters"]
+        assert serial.snapshot()["counters"]["engine.job_errors"] == 1
+        assert counters["engine.job_errors"] == 1
+        # Traced, the workers' metrics delta came home, without the error.
+        assert ("emptiness.streett_calls" in counters) is traced
 
 
 class TestPersistentPool:

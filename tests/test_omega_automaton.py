@@ -155,16 +155,17 @@ class TestAlgebra:
 
 
 class TestPickling:
-    def test_report_with_dense_backend_round_trips(self):
-        # G F X a -> G F b compiles to 112 states over 4 letters, which takes
-        # the dense CycleBackend; its cached module must not reach pickle.
+    def test_report_with_derived_caches_round_trips(self):
+        # G F X a -> G F b compiles to 112 states over 4 letters; the caches
+        # its classification leaves on the automaton must not reach pickle.
         import pickle
 
         from repro import classify_formula, parse_formula
 
         report = classify_formula(parse_formula("G F X a -> G F b"))
-        assert report.automaton.__dict__.get("_wagner_backends")
+        assert report.automaton.__dict__.get("_complement")
         copy = pickle.loads(pickle.dumps(report))
+        assert "_complement" not in copy.automaton.__dict__
         assert copy.summary() == report.summary()
         assert copy.semantic.membership == report.semantic.membership
         original, restored = report.automaton, copy.automaton
@@ -172,4 +173,3 @@ class TestPickling:
         assert restored.initial == original.initial
         assert restored.acceptance == original.acceptance
         assert restored.equivalent_to(original)
-        assert "_wagner_backends" not in restored.__dict__

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.classes import TemporalClass
-from repro.fastpath.config import forced
 from repro.finitary import FinitaryLanguage
 from repro.omega import Acceptance, DetAutomaton, a_of, e_of, p_of, r_of
 from repro.omega.classify import (
@@ -202,6 +201,14 @@ class TestObligationDegree:
             assert is_obligation(automaton)
             assert obligation_degree(automaton) == 1
 
+    def test_long_next_chain_does_not_recurse(self):
+        # X^300 p compiles to a 303-state chain: one SCC DAG path per state.
+        from repro import classify_formula, parse_formula
+
+        report = classify_formula(parse_formula("X " * 300 + "p"))
+        assert report.automaton.num_states == 303
+        assert report.obligation_degree == 1
+
 
 class TestWagnerIndex:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -275,6 +282,14 @@ class TestShapes:
         assert not is_obligation_shaped(c_count_automaton(2), degree=1)
         assert not is_obligation_shaped(r_of(lang(".*b")))
 
+    def test_obligation_shape_of_a_long_chain_does_not_recurse(self):
+        # 1499 bad states in a row, then one good sink: one bad→good move.
+        n = 1500
+        rows = [[min(state + 1, n - 1)] * 2 for state in range(n)]
+        chain = DetAutomaton(AB, rows, 0, Acceptance.buchi([n - 1]))
+        assert is_obligation_shaped(chain, degree=1)
+        assert not is_obligation_shaped(chain, degree=0)
+
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 100_000))
@@ -314,7 +329,7 @@ def test_safety_check_matches_closure_on_random_automata(seed):
 
 # ---------------------------------------------------------------------------
 # Safety, guarantee and liveness on the automaton's own graph: edge cases,
-# each checked against the language-equivalence spec on both kernel routes.
+# each checked against the language-equivalence spec.
 # ---------------------------------------------------------------------------
 
 
@@ -370,13 +385,11 @@ _EDGE_CASES = {
 }
 
 
-@pytest.mark.parametrize("mode", ["off", "on"])
 @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
-def test_closure_predicates_edge_cases_match_equivalence_spec(case, mode):
+def test_closure_predicates_edge_cases_match_equivalence_spec(case):
     build, expected = _EDGE_CASES[case]
     automaton = build()
     assert closure_spec(automaton) == expected
-    with forced(mode):
-        assert verdict_profile(classify(automaton)) == expected
-        assert is_safety(automaton) == expected["safety"]
-        assert is_guarantee(automaton) == expected["guarantee"]
+    assert verdict_profile(classify(automaton)) == expected
+    assert is_safety(automaton) == expected["safety"]
+    assert is_guarantee(automaton) == expected["guarantee"]
