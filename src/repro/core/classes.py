@@ -149,10 +149,21 @@ class Verdict:
     representative of ``lowest`` (safety preferred, then guarantee, then up
     the hierarchy); the liveness flags record the orthogonal
     safety–liveness classification.
+
+    Wagner's measures come with the classes when
+    :func:`repro.omega.classify.classify` decides them: ``streett_index``
+    and ``rabin_index`` (the minimal number of Streett resp. Rabin pairs
+    any deterministic automaton for the property needs) and
+    ``obligation_degree`` (the minimal ``k`` with the property in
+    ``Obl_k``, ``None`` for a non-obligation property).  A hand-built
+    verdict leaves all three ``None``.
     """
 
     membership: dict[TemporalClass, bool] = field(hash=False)
     is_liveness: bool = False
+    streett_index: int | None = None
+    rabin_index: int | None = None
+    obligation_degree: int | None = None
 
     def __post_init__(self) -> None:
         if not self.membership.get(TemporalClass.REACTIVITY, False):

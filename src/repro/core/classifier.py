@@ -45,7 +45,6 @@ from repro.logic.semantics import esat_language
 from repro.omega.acceptance import Acceptance, Kind, Pair
 from repro.omega.automaton import DetAutomaton
 from repro.omega.classify import classify as classify_automaton
-from repro.omega.classify import obligation_degree, streett_index
 from repro.omega.closure import is_uniform_liveness
 from repro.omega.linguistic import a_of, e_of, p_of, r_of
 from repro.words.alphabet import Alphabet, Symbol
@@ -283,13 +282,19 @@ class FormulaReport:
     automaton: DetAutomaton
     semantic: Verdict
     syntactic: SyntacticVerdict
-    streett_index: int
-    obligation_degree: int | None
     is_uniform_liveness: bool | None
 
     @property
     def canonical_class(self) -> TemporalClass:
         return self.semantic.canonical
+
+    @property
+    def streett_index(self) -> int:
+        return self.semantic.streett_index
+
+    @property
+    def obligation_degree(self) -> int | None:
+        return self.semantic.obligation_degree
 
     @property
     def is_liveness(self) -> bool:
@@ -329,8 +334,6 @@ def formula_report(
         automaton=automaton,
         semantic=verdict,
         syntactic=analyze_syntax(formula),
-        streett_index=streett_index(automaton),
-        obligation_degree=obligation_degree(automaton, verdict),
         is_uniform_liveness=uniform,
     )
 

@@ -215,6 +215,8 @@ class BatchReport:
     executor: str
     wall_seconds: float
     unique_jobs: int
+    #: The engine's cache bank after a serial batch; empty after a process
+    #: batch, whose workers use their own banks and never touch this one.
     cache_stats: dict[str, CacheStats] = field(default_factory=dict)
 
     @property
@@ -390,7 +392,7 @@ class EvaluationEngine:
             executor=executor_used,
             wall_seconds=batch.seconds,
             unique_jobs=unique,
-            cache_stats=self.bank.stats(),
+            cache_stats=self.bank.stats() if executor_used == "serial" else {},
         )
 
     def _run(self, jobs: list[Job]) -> tuple[str, list[JobResult], int]:

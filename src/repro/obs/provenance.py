@@ -249,14 +249,13 @@ def explain_expression(expression: str, letters: str = "ab", *, bank=None) -> Ex
     """Explain an ω-regular expression's verdict (automaton view only)."""
     from repro.engine.cache import cached_omega_language
     from repro.omega.classify import classify as classify_automaton
-    from repro.omega.classify import obligation_degree, streett_index
     from repro.words import Alphabet
 
     automaton = cached_omega_language(
         expression, Alphabet.from_letters(letters), bank=bank
     )
     verdict = classify_automaton(automaton)
-    index = streett_index(automaton)
+    index = verdict.streett_index
     return Explanation(
         subject=f"omega {letters}: {expression}",
         canonical=verdict.canonical,
@@ -267,6 +266,6 @@ def explain_expression(expression: str, letters: str = "ab", *, bank=None) -> Ex
         reasons=tuple(class_reasons(verdict.membership, index)),
         evidence=automaton_evidence(automaton),
         streett_index=index,
-        obligation_degree=obligation_degree(automaton, verdict),
+        obligation_degree=verdict.obligation_degree,
         is_liveness=verdict.is_liveness,
     )

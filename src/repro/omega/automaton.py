@@ -196,9 +196,9 @@ class DetAutomaton:
     def complement(self) -> DetAutomaton:
         """Same core, dual acceptance — determinism makes this exact.
 
-        Memoized per instance: the classification pass dualizes the same
-        automaton several times, and the already-validated table need not be
-        re-checked or re-copied.
+        Memoized per instance: the closure checks and the qa oracles dualize
+        the same automaton several times, and the already-validated table
+        need not be re-checked or re-copied.
         """
         cached = self.__dict__.get("_complement")
         if cached is None:

@@ -1,188 +1,218 @@
 """Deciding the class of an ω-regular property (§5.1, Landweber/Wagner).
 
-Semantic (authoritative) checks, all polynomial and all on the automaton's
-own graph (no product automata):
+Every semantic answer is read off one object, built once per
+:func:`classify` call: the SCC DAG of the reachable graph
+(:func:`repro.omega.graph.condensation`).  Each cyclic SCC ``S`` gets
+``(acc, rej)``, the lengths of the longest alternating chains of cycles
+``C₁ ⊂ C₂ ⊂ … ⊂ Cₙ ⊆ S`` topped by an accepting resp. a rejecting cycle
+(Wagner's chains).  They come from a recursive decomposition of cycles
+on a Streett automaton: a cycle tops the longest chain of its own status;
+below it, the accepting tops are its Streett good components and the
+rejecting tops the cyclic SCCs of it minus some ``R`` not inside its
+``P``, always strictly smaller.  A Rabin automaton is measured on its
+same-core Streett complement, with the two numbers swapped.  The rest is
+read off the DAG in index order:
 
-* **safety** — ``Π = cl(Π)``: no reachable cycle inside the live states
-  (non-empty residual language) is rejected.  ``Π ⊆ cl(Π)`` holds by
-  construction, and the runs of ``cl(Π)`` are exactly the runs that never
-  leave the live region (:func:`repro.omega.closure.closed_on`);
-* **guarantee** — the complement is safety: no reachable cycle inside the
-  complement's live states is accepted;
-* **recurrence** — Wagner's condition ``J ∈ F ∧ J ⊆ A ⇒ A ∈ F`` on
-  accessible cycles, decided without cycle enumeration: a violation exists
-  iff some Streett pair ``(R,P)`` admits a non-trivial SCC ``S`` of the
-  reachable graph minus ``R`` with ``S ⊄ P`` that still contains an
-  accepting cycle (then ``A := S`` rejects while ``J ⊆ S`` accepts);
-* **persistence** — dually, some *good component* contains, for some pair
-  ``(R,P)``, a non-trivial SCC of itself minus ``R`` not inside ``P``;
+* **liveness** — a state is live (non-empty residual language) iff its SCC
+  reaches one with ``acc > 0``; co-live likewise with ``rej > 0``;
+* **safety** — ``Π = cl(Π)``: no live SCC carries a rejecting cycle.  The
+  runs of ``cl(Π)`` are exactly the runs that never leave the live states,
+  so their infinity sets are the cycles of the live SCCs;
+* **guarantee** — the complement is safety: no co-live SCC carries an
+  accepting cycle;
+* **recurrence** — Wagner's ``J ∈ F ∧ J ⊆ A ⇒ A ∈ F`` on accessible cycles:
+  no accepting cycle inside a rejecting one, i.e. every ``rej ≤ 1``;
+* **persistence** — dually, no rejecting cycle inside an accepting one:
+  every ``acc ≤ 1``;
 * **obligation** — recurrence ∧ persistence (the paper: obligation is
   exactly the intersection of the two classes);
 * **reactivity** — universal for deterministic automata; the interesting
-  quantity is the *index* (minimal number of Streett pairs), computed from
-  Wagner's maximal alternating chains ``B₁ ⊂ J₁ ⊂ … ⊂ Jₙ`` by a recursive
-  decomposition that always steps to strictly smaller arenas.
+  quantities are the Streett and Rabin *indices*, which follow from the
+  largest ``acc`` and ``rej`` by a parity argument;
+* **Obl_k** — the obligation degree, the most rejecting→accepting
+  alternations along a path of the DAG.
 
-Rabin-kind automata are classified through their (same-core) complements
-using the class dualities.  The module also provides the paper's *syntactic*
-automaton-shape recognizers (safety/guarantee/obligation-by-rank/
-recurrence/persistence automata of §5), which are sound certificates:
-a κ-shaped automaton always denotes a κ-property, but a κ-property may be
-presented by an automaton of the wrong shape — that gap is exactly what
-Prop 5.1's normalizations (``repro.omega.transform``) close.
+:func:`is_safety` … :func:`obligation_degree` each read one field of
+:func:`classify`.  :func:`repro.omega.closure.is_safety_closed` keeps the
+live-set route as an independent definition of safety.  The module also
+provides the paper's *syntactic* automaton-shape recognizers (safety/
+guarantee/obligation-by-rank/recurrence/persistence automata of §5), which
+are sound certificates: a κ-shaped automaton always denotes a κ-property,
+but a κ-property may be presented by an automaton of the wrong shape — that
+gap is exactly what Prop 5.1's normalizations (``repro.omega.transform``)
+close.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections.abc import Sequence
 
 from repro.core.classes import TemporalClass, Verdict
+from repro.obs.spans import stage
 from repro.omega.acceptance import Kind
 from repro.omega.automaton import DetAutomaton
-from repro.omega.closure import closed_on, is_safety_closed
-from repro.omega.emptiness import nonempty_states, streett_good_components
-from repro.omega.graph import condensation, cyclic_sccs, is_nontrivial_component, reachable_from
+from repro.omega.emptiness import streett_good_components
+from repro.omega.graph import (
+    Condensation,
+    condensation,
+    cyclic_sccs,
+    is_nontrivial_component,
+    reachable_from,
+)
 
 # ---------------------------------------------------------------------------
-# Semantic classification
+# Semantic classification: one Wagner analysis per automaton
 # ---------------------------------------------------------------------------
+
+
+def _chain_tops(aut: DetAutomaton, components: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """``(acc, rej)`` per component: the longest alternating cycle chains
+    inside it topped by an accepting resp. a rejecting cycle, ``(0, 0)`` on
+    a component with no cycle."""
+    streett = aut if aut.acceptance.kind is Kind.STREETT else aut.complement()
+    successors, pairs = aut.successors, streett.acceptance.pairs
+    accepts = streett.acceptance.accepts_infinity_set
+    memo: dict[tuple[frozenset[int], bool], int] = {}
+
+    def top(arena: frozenset[int], accepting: bool) -> int:
+        """The longest chain inside the cycle ``arena`` topped by an
+        accepting resp. a rejecting cycle.  The arena itself tops the
+        longest one when its status matches; otherwise the tops are its
+        Streett good components resp. the cyclic SCCs of the arena minus
+        some ``R`` that are not inside its ``P``."""
+        key = (arena, accepting)
+        if key not in memo:
+            if accepts(arena) == accepting:
+                below = [top(arena, not accepting)]
+            elif accepting:
+                below = [
+                    top(cycle, False)
+                    for cycle in streett_good_components(arena, successors, pairs)
+                ]
+            else:
+                below = [
+                    top(cycle, True)
+                    for pair in pairs
+                    for cycle in cyclic_sccs(arena - pair.left, successors)
+                    if not cycle <= pair.right
+                ]
+            memo[key] = 1 + max(below) if below else 0
+        return memo[key]
+
+    tops = []
+    for component in components:
+        if not is_nontrivial_component(component, successors):
+            tops.append((0, 0))
+            continue
+        arena = frozenset(component)
+        tops.append((top(arena, True), top(arena, False)))
+    if streett is aut:
+        return tops
+    # Complementing swaps accepting and rejecting cycles.
+    return [(rej, acc) for acc, rej in tops]
+
+
+def _largest_with_parity(bound: int, odd: bool) -> int:
+    if bound <= 0:
+        return 0
+    return bound if (bound % 2 == 1) == odd else bound - 1
+
+
+def _obligation_degree(dag: Condensation, tops: list[tuple[int, int]], initial: int) -> int:
+    """The most rejecting→accepting alternations along a DAG path from the
+    initial state's component.  For an obligation property every cyclic
+    SCC is uniformly accepting (``acc > 0``) or rejecting (``rej > 0``):
+    Wagner's chains collapse to DAG paths."""
+    # best[i][seen]: the most completed (rejecting, later accepting) pairs
+    # along a path from component i, ``seen`` telling whether a rejecting
+    # component was passed with no accepting one since.  Successors have
+    # smaller indices, so index order is a valid DP order.
+    best: list[tuple[int, int]] = []
+    for index, (acc, rej) in enumerate(tops):
+        row = []
+        for seen_rejecting in (False, True):
+            completes = acc > 0 and seen_rejecting
+            seen_next = not completes and (seen_rejecting or rej > 0)
+            follow = max((best[target][seen_next] for target in dag.edges[index]), default=0)
+            row.append(int(completes) + follow)
+        best.append(tuple(row))
+    # A property with accepting behavior but no alternation still needs one
+    # conjunct (A(Φ)∪E(∅) or similar) unless it is trivial.
+    return max(best[dag.component_of[initial]][False], 1)
+
+
+def classify(aut: DetAutomaton) -> Verdict:
+    """Full membership profile of the property across the hierarchy, with
+    its Streett and Rabin indices and its obligation degree, from one
+    condensation of the reachable graph."""
+    with stage("omega.classify.wagner", states=aut.num_states):
+        dag = condensation(aut.reachable, aut.successors)
+        tops = _chain_tops(aut, dag.components)
+        live: list[bool] = []
+        colive: list[bool] = []
+        for index, (acc, rej) in enumerate(tops):
+            targets = dag.edges[index]
+            live.append(acc > 0 or any(live[target] for target in targets))
+            colive.append(rej > 0 or any(colive[target] for target in targets))
+        top_acc = max(acc for acc, _rej in tops)
+        top_rej = max(rej for _acc, rej in tops)
+        recurrence = top_rej <= 1
+        persistence = top_acc <= 1
+        obligation = recurrence and persistence
+        membership = {
+            TemporalClass.SAFETY: not any(
+                rej > 0 for (_acc, rej), is_live in zip(tops, live) if is_live
+            ),
+            TemporalClass.GUARANTEE: not any(
+                acc > 0 for (acc, _rej), is_colive in zip(tops, colive) if is_colive
+            ),
+            TemporalClass.OBLIGATION: obligation,
+            TemporalClass.RECURRENCE: recurrence,
+            TemporalClass.PERSISTENCE: persistence,
+            TemporalClass.REACTIVITY: True,
+        }
+        # A top-τ chain of length ℓ yields top-τ chains of every length ≤ ℓ
+        # (drop bottoms), so the longest chains *starting* accepting resp.
+        # rejecting follow from the two top-oriented maxima by parity.
+        start_acc = max(
+            _largest_with_parity(top_acc, odd=True), _largest_with_parity(top_rej, odd=False)
+        )
+        start_rej = max(
+            _largest_with_parity(top_acc, odd=False), _largest_with_parity(top_rej, odd=True)
+        )
+        return Verdict(
+            membership=membership,
+            is_liveness=all(live),
+            streett_index=(start_rej + 1) // 2,
+            rabin_index=(start_acc + 1) // 2,
+            obligation_degree=_obligation_degree(dag, tops, aut.initial) if obligation else None,
+        )
 
 
 def is_safety(aut: DetAutomaton) -> bool:
     """Is the property topologically closed (= a safety property)?"""
-    return is_safety_closed(aut)
+    return classify(aut).membership[TemporalClass.SAFETY]
 
 
 def is_guarantee(aut: DetAutomaton) -> bool:
     """Is the property open — equivalently, is its complement safety?"""
-    return closed_on(aut.reachable & nonempty_states(aut.complement()), aut)
-
-
-def _streett_violations_of_recurrence(aut: DetAutomaton) -> bool:
-    """Is there an accepting cycle inside a rejecting super-cycle? (Streett kind)"""
-    successors, pairs = aut.successors, aut.acceptance.pairs
-    for pair in pairs:
-        for cycle in cyclic_sccs(aut.reachable - pair.left, successors):
-            # Inside P the super-cycle would still be accepting on this pair.
-            if not cycle <= pair.right and streett_good_components(cycle, successors, pairs):
-                return True
-    return False
-
-
-def _streett_violations_of_persistence(aut: DetAutomaton) -> bool:
-    """Is there a rejecting cycle inside an accepting super-cycle? (Streett kind)"""
-    successors, pairs = aut.successors, aut.acceptance.pairs
-    return any(
-        not cycle <= pair.right
-        for component in streett_good_components(aut.reachable, successors, pairs)
-        for pair in pairs
-        for cycle in cyclic_sccs(component - pair.left, successors)
-    )
+    return classify(aut).membership[TemporalClass.GUARANTEE]
 
 
 def is_recurrence(aut: DetAutomaton) -> bool:
     """Is the property a ``G_δ`` set (recurrence)?"""
-    if aut.acceptance.kind is Kind.STREETT:
-        return not _streett_violations_of_recurrence(aut)
-    return not _streett_violations_of_persistence(aut.complement())
+    return classify(aut).membership[TemporalClass.RECURRENCE]
 
 
 def is_persistence(aut: DetAutomaton) -> bool:
     """Is the property an ``F_σ`` set (persistence)?"""
-    if aut.acceptance.kind is Kind.STREETT:
-        return not _streett_violations_of_persistence(aut)
-    return not _streett_violations_of_recurrence(aut.complement())
+    return classify(aut).membership[TemporalClass.PERSISTENCE]
 
 
 def is_obligation(aut: DetAutomaton) -> bool:
     """Obligation = recurrence ∩ persistence (§2, "the obligation class is
     precisely the intersection of the recurrence and persistence classes")."""
-    return is_recurrence(aut) and is_persistence(aut)
-
-
-def classify(aut: DetAutomaton) -> Verdict:
-    """Full membership profile of the property across the hierarchy.
-
-    One live-set pass for the automaton and one for its complement serve
-    safety, guarantee and liveness together.
-    """
-    complement = aut.complement()
-    reachable = aut.reachable
-    live = nonempty_states(aut)
-    colive = nonempty_states(complement)
-    recurrence = is_recurrence(aut)
-    persistence = is_persistence(aut)
-    membership = {
-        TemporalClass.SAFETY: closed_on(reachable & live, complement),
-        TemporalClass.GUARANTEE: closed_on(reachable & colive, aut),
-        TemporalClass.OBLIGATION: recurrence and persistence,
-        TemporalClass.RECURRENCE: recurrence,
-        TemporalClass.PERSISTENCE: persistence,
-        TemporalClass.REACTIVITY: True,
-    }
-    return Verdict(membership=membership, is_liveness=reachable <= live)
-
-
-# ---------------------------------------------------------------------------
-# Wagner's alternating chains and the reactivity index
-# ---------------------------------------------------------------------------
-
-
-def _chain_lengths(aut: DetAutomaton) -> tuple[int, int]:
-    """``(longest chain topped by an accepting cycle, … by a rejecting cycle)``
-    over all reachable arenas of a Streett-kind automaton.  Chains are
-    strictly decreasing and alternate acceptance."""
-    successors, pairs = aut.successors, aut.acceptance.pairs
-
-    @lru_cache(maxsize=None)
-    def top_accepting(arena: frozenset[int]) -> int:
-        return max(
-            (
-                1 + top_rejecting(component)
-                for component in streett_good_components(arena, successors, pairs)
-            ),
-            default=0,
-        )
-
-    @lru_cache(maxsize=None)
-    def top_rejecting(arena: frozenset[int]) -> int:
-        return max(
-            (
-                1 + top_accepting(cycle)
-                for pair in pairs
-                for cycle in cyclic_sccs(arena - pair.left, successors)
-                if not cycle <= pair.right
-            ),
-            default=0,
-        )
-
-    reachable = aut.reachable
-    return top_accepting(reachable), top_rejecting(reachable)
-
-
-def _start_oriented_lengths(aut: DetAutomaton) -> tuple[int, int]:
-    """``(L_sa, L_sr)``: the longest alternating cycle chains whose *smallest*
-    element is accepting resp. rejecting.
-
-    A top-τ chain of length ℓ yields top-τ chains of every length ≤ ℓ
-    (drop bottoms), so both quantities follow from the two top-oriented
-    maxima by a parity argument.
-    """
-    if aut.acceptance.kind is Kind.STREETT:
-        top_acc, top_rej = _chain_lengths(aut)
-    else:
-        # Complementing swaps accepting and rejecting cycles.
-        comp_acc, comp_rej = _chain_lengths(aut.complement())
-        top_acc, top_rej = comp_rej, comp_acc
-
-    def largest_with_parity(bound: int, odd: bool) -> int:
-        if bound <= 0:
-            return 0
-        return bound if (bound % 2 == 1) == odd else bound - 1
-
-    start_acc = max(largest_with_parity(top_acc, odd=True), largest_with_parity(top_rej, odd=False))
-    start_rej = max(largest_with_parity(top_acc, odd=False), largest_with_parity(top_rej, odd=True))
-    return start_acc, start_rej
+    return classify(aut).membership[TemporalClass.OBLIGATION]
 
 
 def streett_index(aut: DetAutomaton) -> int:
@@ -192,63 +222,19 @@ def streett_index(aut: DetAutomaton) -> int:
     *rejecting* one (e.g. ``◇□p ∧ □◇q`` has index 2 while its complement
     needs a single Rabin pair).  Index 0 means the property is universal
     (no rejecting cycle at all)."""
-    _start_acc, start_rej = _start_oriented_lengths(aut)
-    return (start_rej + 1) // 2
+    return classify(aut).streett_index
 
 
 def rabin_index(aut: DetAutomaton) -> int:
     """Wagner's Rabin index: chains starting with an *accepting* cycle;
     index 0 means the empty property."""
-    start_acc, _start_rej = _start_oriented_lengths(aut)
-    return (start_acc + 1) // 2
+    return classify(aut).rabin_index
 
 
-# ---------------------------------------------------------------------------
-# Obligation degree (the Obl_k subhierarchy)
-# ---------------------------------------------------------------------------
-
-
-def obligation_degree(aut: DetAutomaton, verdict: Verdict | None = None) -> int | None:
+def obligation_degree(aut: DetAutomaton) -> int | None:
     """The minimal ``k`` with the property in ``Obl_k``, or ``None`` when the
-    property is not an obligation property at all.
-
-    For an obligation property every non-trivial SCC is uniformly accepting
-    or rejecting, so the degree is the maximal number of
-    rejecting→accepting alternations along a path of the SCC DAG
-    (Wagner's chains collapse to DAG paths here).  A caller that already
-    holds ``classify(aut)`` passes it as ``verdict`` so the obligation test
-    is not decided a second time.
-    """
-    obligation = (
-        is_obligation(aut) if verdict is None else verdict.membership[TemporalClass.OBLIGATION]
-    )
-    if not obligation:
-        return None
-    dag = condensation(aut.reachable, aut.successors)
-    # best[i][seen]: the most completed (rejecting, later accepting) pairs
-    # along a path from component i, ``seen`` telling whether a rejecting
-    # component was passed with no accepting one since.  Successors have
-    # smaller indices, so index order is a valid DP order.
-    best: list[tuple[int, int]] = []
-    for index, component in enumerate(dag.components):
-        if not is_nontrivial_component(component, aut.successors):
-            kind = "transient"
-        elif aut.acceptance.accepts_infinity_set(frozenset(component)):
-            kind = "accepting"
-        else:
-            kind = "rejecting"
-        row = []
-        for seen_rejecting in (False, True):
-            completes = kind == "accepting" and seen_rejecting
-            seen_next = not completes and (seen_rejecting or kind == "rejecting")
-            follow = max((best[target][seen_next] for target in dag.edges[index]), default=0)
-            row.append(int(completes) + follow)
-        best.append(tuple(row))
-
-    degree = best[dag.component_of[aut.initial]][False]
-    # A property with accepting behavior but no alternation still needs one
-    # conjunct (A(Φ)∪E(∅) or similar) unless it is trivial.
-    return max(degree, 1)
+    property is not an obligation property at all."""
+    return classify(aut).obligation_degree
 
 
 # ---------------------------------------------------------------------------

@@ -46,27 +46,22 @@ def safety_closure(aut: DetAutomaton) -> DetAutomaton:
     return aut.with_acceptance(Acceptance.cobuchi(live))
 
 
-def closed_on(region: frozenset[int], dual: DetAutomaton) -> bool:
-    """``cl(Π) ⊆ Π`` on the automaton's own graph.
-
-    ``region`` is ``reachable ∩ live`` of an automaton for Π and ``dual``
-    is its same-core complement, whose accepted cycles are exactly the
-    cycles the automaton rejects.  A run of ``cl(Π)`` never leaves the live
-    states (the dead ones are successor-closed), so its infinity set is a
-    cycle inside ``region``; conversely every cycle inside ``region`` is
-    the infinity set of such a run, because every state on the way to it
-    can reach it and is therefore live.  So ``cl(Π) ⊆ Π`` iff ``dual``
-    accepts no cycle inside ``region``.
-    """
-    return not accepts_cycle_within(dual, region)
-
-
 def is_safety_closed(aut: DetAutomaton) -> bool:
     """``Π = cl(Π)`` — the paper's characterization of the safety class.
 
-    ``Π ⊆ cl(Π)`` holds by construction, so only :func:`closed_on` is asked.
+    ``Π ⊆ cl(Π)`` holds by construction, so only ``cl(Π) ⊆ Π`` is asked,
+    on the automaton's own graph.  A run of ``cl(Π)`` never leaves the
+    live states (the dead ones are successor-closed), so its infinity set
+    is a cycle among the reachable live states; conversely every such cycle
+    is the infinity set of such a run, because every state on the way to it
+    can reach it and is therefore live.  The same-core complement accepts
+    exactly the cycles the automaton rejects, so ``cl(Π) ⊆ Π`` iff it
+    accepts no cycle there.  :func:`repro.omega.classify.classify` decides
+    the same question from its SCC condensation; this live-set route is the
+    independent definition.
     """
-    return closed_on(aut.reachable & live_states(aut), aut.complement())
+    region = aut.reachable & live_states(aut)
+    return not accepts_cycle_within(aut.complement(), region)
 
 
 def is_liveness(aut: DetAutomaton) -> bool:

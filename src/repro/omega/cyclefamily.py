@@ -121,10 +121,14 @@ def literal_chain_index(aut: DetAutomaton, *, limit: int = _DEFAULT_LIMIT) -> in
 
 def cross_validate(aut: DetAutomaton, *, limit: int = _DEFAULT_LIMIT) -> dict[str, bool]:
     """Compare the literal procedures against the polynomial ones."""
-    from repro.omega.classify import is_persistence, is_recurrence, streett_index
+    from repro.core.classes import TemporalClass
+    from repro.omega.classify import classify
 
+    verdict = classify(aut)
     return {
-        "recurrence": literal_is_recurrence(aut, limit=limit) == is_recurrence(aut),
-        "persistence": literal_is_persistence(aut, limit=limit) == is_persistence(aut),
-        "index": literal_chain_index(aut, limit=limit) == streett_index(aut),
+        "recurrence": literal_is_recurrence(aut, limit=limit)
+        == verdict.membership[TemporalClass.RECURRENCE],
+        "persistence": literal_is_persistence(aut, limit=limit)
+        == verdict.membership[TemporalClass.PERSISTENCE],
+        "index": literal_chain_index(aut, limit=limit) == verdict.streett_index,
     }

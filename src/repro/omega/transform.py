@@ -20,6 +20,7 @@ not in the requested class, so the functions double as verified casts.
 
 from __future__ import annotations
 
+from repro.core.classes import TemporalClass
 from repro.errors import ClassificationError
 from repro.omega import classify as classify_mod
 from repro.omega.acceptance import Acceptance, Kind
@@ -177,15 +178,16 @@ def to_simple_reactivity_automaton(aut: DetAutomaton) -> DetAutomaton:
     Recurrence/persistence properties reuse their dedicated constructions;
     the genuinely mixed case runs the paper's anticipation product
     (:func:`reactivity_product`)."""
-    if classify_mod.streett_index(aut) > 1:
+    verdict = classify_mod.classify(aut)
+    if verdict.streett_index > 1:
         raise ClassificationError("property needs more than one Streett pair")
     if aut.acceptance.kind is Kind.STREETT and len(aut.acceptance.pairs) == 1:
         return aut
-    if classify_mod.is_recurrence(aut):
+    if verdict.membership[TemporalClass.RECURRENCE]:
         buchi = to_recurrence_automaton(aut)
         (pair,) = buchi.acceptance.pairs
         return buchi.with_acceptance(Acceptance.streett([(pair.left, pair.right)]))
-    if classify_mod.is_persistence(aut):
+    if verdict.membership[TemporalClass.PERSISTENCE]:
         cobuchi = to_persistence_automaton(aut)
         (pair,) = cobuchi.acceptance.pairs
         return cobuchi.with_acceptance(Acceptance.streett([(pair.left, pair.right)]))

@@ -12,9 +12,11 @@ The four oracles mirror the paper's four coinciding views:
   profiles, the topological closure predicates, and the
   ``A(Φ)ᶜ = E(Φᶜ)`` / ``R(Φ)ᶜ = P(Φᶜ)`` dualities;
 * ``automaton``       — complement membership, classification duality,
-  Wagner index duality, the HOA round-trip and the safety-closure spec
+  Wagner index duality, the HOA round-trip, the safety-closure spec
   (safety, guarantee and liveness by their language-equivalence
-  definitions) on random Streett/Rabin automata.
+  definitions) and the literal cycle family (recurrence, persistence and
+  the Streett index by explicit enumeration of accessible cycles) on
+  random Streett/Rabin automata.
 
 ``normalize`` checks the rewriting step in front of dispatch: §4's
 normal-form laws (:func:`repro.logic.rewrite.normalize`) against the raw
@@ -52,8 +54,9 @@ from repro.logic.classes import normal_form_class, syntactic_classes
 from repro.logic.parser import parse_formula
 from repro.logic.rewrite import normalize
 from repro.logic.semantics import satisfies
-from repro.omega.classify import classify, rabin_index, streett_index
+from repro.omega.classify import classify
 from repro.omega.closure import is_liveness, is_safety_closed, safety_closure
+from repro.omega.cyclefamily import cross_validate
 from repro.omega.hoa import from_hoa, to_hoa
 from repro.omega.linguistic import a_of, e_of, p_of, r_of
 from repro.omega.safra import formula_to_dra
@@ -515,6 +518,7 @@ class AutomatonOracle(Oracle):
         "Wagner index duality",
         "HOA round-trip",
         "safety closure by equivalence",
+        "literal cycle family",
     )
 
     def generate(self, rng: random.Random, config: GeneratorConfig):
@@ -539,10 +543,10 @@ class AutomatonOracle(Oracle):
                     f"classification duality broken: {temporal_class.value}={mine}"
                     f" but complement {temporal_class.dual().value}={dual}"
                 )
-        if streett_index(automaton) != rabin_index(complement):
+        if verdict.streett_index != dual_verdict.rabin_index:
             return (
-                f"Wagner duality broken: streett_index={streett_index(automaton)}"
-                f" vs complement rabin_index={rabin_index(complement)}"
+                f"Wagner duality broken: streett_index={verdict.streett_index}"
+                f" vs complement rabin_index={dual_verdict.rabin_index}"
             )
         restored = from_hoa(to_hoa(automaton), alphabet=automaton.alphabet)
         if restored.acceptance.kind is not automaton.acceptance.kind:
@@ -563,6 +567,9 @@ class AutomatonOracle(Oracle):
                     f"classify says {predicate}={decided[predicate]}"
                     f" but the safety-closure spec says {value}"
                 )
+        for measure, agrees in cross_validate(automaton).items():
+            if not agrees:
+                return f"classify's {measure} disagrees with the literal cycle family"
         return None
 
     def shrink(self, subject):

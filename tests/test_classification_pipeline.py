@@ -106,10 +106,10 @@ def test_census_measure_runs_gpvw_and_safra_once(monkeypatch, cleared_caches):
 
 
 @pytest.mark.parametrize("text", ["G F p -> G F q", "G p", "p U q", "F p & G q"])
-def test_classify_runs_two_live_set_passes_and_no_product_check(text):
-    """Safety, guarantee and liveness come from one live-set pass for the
-    automaton and one for its complement, decided on the automaton's own
-    graph: no product-automaton emptiness check."""
+def test_classify_runs_one_wagner_pass_and_no_emptiness_check(text):
+    """Every class, liveness, the Streett index and the obligation degree
+    come from one Wagner pass over one condensation of the automaton's own
+    graph: no live-set pass and no product-automaton emptiness check."""
     from repro.core.classifier import classify_formula
     from repro.engine.metrics import METRICS, snapshot_delta
 
@@ -117,6 +117,10 @@ def test_classify_runs_two_live_set_passes_and_no_product_check(text):
     classify_formula(parse_formula(text))
     timers = snapshot_delta(before, METRICS.snapshot())["timers"]
     counts = {name: timers.get(name, {}).get("count", 0) for name in (
-        "emptiness.nonempty_states", "emptiness.product_check"
+        "omega.classify.wagner", "emptiness.nonempty_states", "emptiness.product_check"
     )}
-    assert counts == {"emptiness.nonempty_states": 2, "emptiness.product_check": 0}
+    assert counts == {
+        "omega.classify.wagner": 1,
+        "emptiness.nonempty_states": 0,
+        "emptiness.product_check": 0,
+    }

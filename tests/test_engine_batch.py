@@ -251,6 +251,16 @@ class TestErrorsAndReporting:
         assert "safety" in summary
         assert "formula_automaton" in summary
 
+    def test_process_batch_reports_no_parent_caches(self):
+        # The workers never touch the parent's bank, so its statistics would
+        # describe some earlier serial batch, not this one.
+        with fresh_engine(executor="process", max_workers=2) as engine:
+            engine.classify_formulas(["G p"])  # serial: warms the parent's bank
+            report = engine.classify_formulas(CORPUS)
+        assert report.executor == "process"
+        assert report.cache_stats == {}
+        assert "caches:" not in report.summary()
+
     def test_class_counts(self):
         report = fresh_engine().classify_formulas(CORPUS)
         assert report.class_counts() == {

@@ -57,20 +57,20 @@ def test_process_executor_restitches_worker_spans(tracing):
     # Worker span ids carry the worker's pid nonce — none collide with the
     # parent process's ids, and the classifier leaves came along too.
     assert len({s.span_id for s in spans}) == len(spans)
-    assert any(s.name == "emptiness.nonempty_states" for s in spans)
+    assert any(s.name == "omega.classify.wagner" for s in spans)
 
 
 def test_process_executor_merges_worker_metrics(tracing):
     from repro.engine.metrics import METRICS
 
-    # The Streett emptiness counter and timer only ever move inside job
-    # evaluation, which ran in the workers; the parent-side delta proves the
-    # worker snapshots were folded into this registry.
+    # The Streett emptiness counter and the Wagner-pass timer only ever move
+    # inside job evaluation, which ran in the workers; the parent-side delta
+    # proves the worker snapshots were folded into this registry.
     counter_before = METRICS.counter("emptiness.streett_calls").value
-    timer_before = METRICS.timer("emptiness.nonempty_states").count
+    timer_before = METRICS.timer("omega.classify.wagner").count
     _run("process", tracing)
     assert METRICS.counter("emptiness.streett_calls").value > counter_before
-    assert METRICS.timer("emptiness.nonempty_states").count > timer_before
+    assert METRICS.timer("omega.classify.wagner").count > timer_before
 
 
 def test_parallel_jsonl_export_is_deterministic(tracing):

@@ -290,6 +290,19 @@ class TestShapes:
         assert is_obligation_shaped(chain, degree=1)
         assert not is_obligation_shaped(chain, degree=0)
 
+    def test_wagner_pass_of_a_long_chain_does_not_recurse(self):
+        # The same chain through classify's condensation: liveness crosses
+        # 1499 transient components, and the language is universal.
+        n = 1500
+        rows = [[min(state + 1, n - 1)] * 2 for state in range(n)]
+        chain = DetAutomaton(AB, rows, 0, Acceptance.buchi([n - 1]))
+        verdict = classify(chain)
+        assert all(verdict.membership.values())
+        assert verdict.is_liveness
+        assert (verdict.streett_index, verdict.rabin_index, verdict.obligation_degree) == (0, 1, 1)
+        assert streett_index(chain) == 0
+        assert obligation_degree(chain) == 1
+
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 100_000))
@@ -345,6 +358,16 @@ def _unreachable_live_rejecting_cycle() -> DetAutomaton:
     return DetAutomaton(AB, [[0, 0], [1, 0]], 0, Acceptance.buchi([0]))
 
 
+def _transient_run_to_the_only_accepting_cycle() -> DetAutomaton:
+    """``b*a^ω``: the rejecting ``b``-loop at 0 reaches the accepting
+    ``a``-loop at 3 only through the transient states 1 and 2, whose ``b``
+    drops into the dead sink 4; from 3 a ``b`` reaches 4 through the
+    transient states 5 and 6.  Liveness must cross 1 and 2 (or safety is
+    wrongly decided), co-liveness 5 and 6 (or guarantee is)."""
+    rows = [[1, 0], [2, 4], [3, 4], [3, 5], [4, 4], [6, 6], [4, 4]]
+    return DetAutomaton(AB, rows, 0, Acceptance.buchi([3]))
+
+
 def _two_pair_rabin() -> DetAutomaton:
     """``◇□a ∨ ◇□b`` with the state remembering the last letter and the
     pairs ``({0},{1})``, ``({1},{0})``: each one-state cycle is accepted by
@@ -377,6 +400,10 @@ _EDGE_CASES = {
     "unreachable live rejecting cycle": (
         _unreachable_live_rejecting_cycle,
         {"safety": True, "guarantee": True, "liveness": True},
+    ),
+    "transient run to the only accepting cycle": (
+        _transient_run_to_the_only_accepting_cycle,
+        {"safety": False, "guarantee": False, "liveness": False},
     ),
     "two-pair Rabin": (
         _two_pair_rabin,
